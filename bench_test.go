@@ -393,29 +393,6 @@ func BenchmarkLayoutBarnesHut(b *testing.B) {
 	}
 }
 
-// BenchmarkLayoutNaiveParallel compares the sharded all-pairs engine
-// against the serial i<j loop on graphs big enough to shard. The parallel
-// path does every pair twice (once per body), so its single-core cost is
-// ~2× serial; the win appears at ≥2 workers on real cores.
-func BenchmarkLayoutNaiveParallel(b *testing.B) {
-	for _, n := range []int{1000, 5000} {
-		for _, par := range []int{1, 4} {
-			b.Run(fmt.Sprintf("n=%d/p=%d", n, par), func(b *testing.B) {
-				l := buildLayout(b, n)
-				p := l.Params()
-				p.Parallelism = par
-				l.SetParams(p)
-				l.Step(layout.Naive)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					l.Step(layout.Naive)
-				}
-			})
-		}
-	}
-}
-
 // treeParent exposes buildLayout's 4-ary tree to the multilevel
 // coarsener: body n_i hangs under n_{(i-1)/4}; the root has no parent.
 // Matching-produced super-bodies ("m:" prefix) fail the parse and fall
@@ -448,7 +425,7 @@ func BenchmarkLayoutMultilevel(b *testing.B) {
 				b.StopTimer()
 				l := buildLayout(b, n)
 				b.StartTimer()
-				st := l.RunMultilevel(layout.BarnesHut, layout.MultilevelParams{Parent: treeParent})
+				st := l.RunMultilevel(layout.MultilevelParams{Parent: treeParent})
 				if !st.Converged {
 					b.Fatalf("multilevel stuck at residual %g after %d steps", st.Residual, st.TotalSteps)
 				}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	viva -trace trace.viva [-level n] [-slice a:b] [-o view.svg] [-info]
-//	     [-aggregate group,group,...] [-naive] [-multilevel] [-steps n]
+//	     [-aggregate group,group,...] [-steps n]
 //	     [-gantt gantt.svg] [-treemap treemap.svg]
 //	viva compact [-chunk n] [-parallel n] <trace> <out.vvc>
 //
@@ -32,7 +32,6 @@ import (
 	"viva/internal/core"
 	"viva/internal/gantt"
 	"viva/internal/ingest"
-	"viva/internal/layout"
 	"viva/internal/obs"
 	"viva/internal/render"
 	"viva/internal/store"
@@ -52,9 +51,7 @@ func main() {
 	aggregate := flag.String("aggregate", "", "comma-separated groups to aggregate")
 	out := flag.String("o", "view.svg", "output SVG file")
 	info := flag.Bool("info", false, "print a trace summary instead of rendering")
-	naive := flag.Bool("naive", false, "use the O(n^2) layout instead of Barnes-Hut")
-	multilevel := flag.Bool("multilevel", false, "cold-start the layout with the multilevel V-cycle (coarsen along the hierarchy, solve, refine) before stabilizing — much faster to converge on large graphs")
-	steps := flag.Int("steps", 3000, "maximum layout iterations")
+	steps := flag.Int("steps", 3000, "maximum layout iterations at full graph size (the multilevel cold start's finest-level budget)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for trace ingestion and the layout step (0: GOMAXPROCS, 1: serial; same output either way)")
 	ganttOut := flag.String("gantt", "", "also render a Gantt timeline of process states to this file")
 	treemapOut := flag.String("treemap", "", "also render a host-utilization treemap to this file")
@@ -111,9 +108,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *naive {
-		v.SetAlgorithm(layout.Naive)
-	}
 	v.SetParallelism(*parallel)
 	if *level >= 0 {
 		if err := v.SetLevel(*level); err != nil {
@@ -134,15 +128,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	var iters int
-	if *multilevel {
-		st := v.StabilizeMultilevel(0.1)
-		iters = st.TotalSteps
-		fmt.Fprintf(os.Stderr, "multilevel: %d levels, %d total steps, residual %.3g\n",
-			len(st.Levels), st.TotalSteps, st.Residual)
-	} else {
-		iters = v.Stabilize(*steps, 0.1)
-	}
+	iters := v.Stabilize(*steps, 0.1)
 
 	if *animate > 1 {
 		// Animated sweep: the window split into N slices, one frame each.

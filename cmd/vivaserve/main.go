@@ -57,7 +57,6 @@ func main() {
 	storeCache := flag.Int64("store-cache", store.DefaultCacheBytes, "chunk cache budget in bytes for -store")
 	addr := flag.String("addr", ":8844", "listen address")
 	level := flag.Int("level", -1, "initial aggregation depth (-1: leaves)")
-	multilevel := flag.Bool("multilevel", false, "pre-converge the layout with the multilevel V-cycle before serving, so the first frames arrive settled instead of mid-flight")
 	edges := flag.String("edges", "", "connection configuration file for traces without topology edges")
 	parallel := flag.Int("parallel", 0, "worker goroutines for trace ingestion, the layout step and the aggregation graph build (0: GOMAXPROCS, 1: serial; same output either way)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -162,11 +161,11 @@ func main() {
 		}
 	}
 	v.SetParallelism(*parallel)
-	if *multilevel {
-		mls := v.StabilizeMultilevel(0)
-		slog.Info("vivaserve: multilevel pre-layout",
-			"levels", len(mls.Levels), "steps", mls.TotalSteps, "residual", mls.Residual)
-	}
+	// Settle the layout once before serving, so the first frames arrive
+	// settled instead of mid-flight.
+	mls := v.StabilizeMultilevel(0)
+	slog.Info("vivaserve: multilevel pre-layout",
+		"levels", len(mls.Levels), "steps", mls.TotalSteps, "residual", mls.Residual)
 	url := *addr
 	if strings.HasPrefix(url, ":") {
 		url = "localhost" + url

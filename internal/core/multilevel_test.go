@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"viva/internal/layout"
+	"viva/internal/obs"
 	"viva/internal/platform"
 	"viva/internal/trace"
 )
@@ -82,5 +84,65 @@ func TestStabilizeIncrementalAfterAggregate(t *testing.T) {
 	}
 	if info.Residual >= 1.0 {
 		t.Errorf("incremental residual %g did not reach the bound", info.Residual)
+	}
+}
+
+// The single layout path: a fresh view's first Stabilize is the V-cycle
+// cold start along the aggregation hierarchy, and a second Stabilize on
+// the settled, unperturbed layout does not solve again.
+func TestFirstStabilizeIsMultilevel(t *testing.T) {
+	v := grid5000View(t)
+	const maxSteps, eps = 3000, 1.0
+	steps := v.Stabilize(maxSteps, eps)
+	info := v.LastRelayout()
+	t.Logf("cold start: mode=%s fine steps=%d total steps=%d residual=%.3g", info.Mode, steps, info.Steps, info.Residual)
+	if info.Mode != "multilevel" {
+		t.Fatalf("first Stabilize mode = %q, want multilevel", info.Mode)
+	}
+	if levels := obs.Default.Gauge("viva_layout_levels", "").Value(); levels != 3 {
+		t.Errorf("viva_layout_levels = %g, want 3 (leaf, cluster, site)", levels)
+	}
+	if steps >= maxSteps || info.Residual >= eps {
+		t.Fatalf("cold start did not converge: %d fine steps, residual %g", steps, info.Residual)
+	}
+
+	before := v.Layout().Snapshot()
+	again := v.Stabilize(maxSteps, eps)
+	moved := layout.MeanDisplacement(before, v.Layout().Snapshot())
+	t.Logf("second Stabilize: mode=%s steps=%d mean displacement=%.3g", v.LastRelayout().Mode, again, moved)
+	if again > 1 {
+		t.Errorf("second Stabilize took %d steps on a settled layout, want <= 1", again)
+	}
+	if moved >= eps {
+		t.Errorf("second Stabilize moved bodies by %g on average, want < %g", moved, eps)
+	}
+}
+
+// With at most MinBodies bodies the V-cycle has a single level, so the
+// cold start is exactly the flat solver: same steps, same bits.
+func TestStabilizeSmallViewMatchesRun(t *testing.T) {
+	tr := smallGridTrace(t)
+	a, err := NewView(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewView(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Layout().Len(); n > layout.DefaultMultilevelParams().MinBodies {
+		t.Fatalf("view has %d bodies, want a single-level V-cycle", n)
+	}
+	const maxSteps, eps = 2000, 0.05
+	got := a.Stabilize(maxSteps, eps)
+	want := b.Layout().Run(layout.BarnesHut, maxSteps, eps)
+	if got != want {
+		t.Errorf("Stabilize took %d steps, Run %d", got, want)
+	}
+	sa, sb := a.Layout().Snapshot(), b.Layout().Snapshot()
+	for id, p := range sb {
+		if q := sa[id]; p != q {
+			t.Fatalf("body %s: Stabilize %v, Run %v", id, q, p)
+		}
 	}
 }

@@ -53,7 +53,6 @@ type View struct {
 	mapping vizgraph.Mapping
 	slice   aggregation.TimeSlice
 	lay     *layout.Layout
-	algo    layout.Algorithm
 
 	graph  *vizgraph.Graph
 	dirty  bool
@@ -139,7 +138,6 @@ func NewViewOf(src aggregation.Source) (*View, error) {
 		mapping: vizgraph.DefaultMapping(),
 		slice:   aggregation.TimeSlice{Start: start, End: end},
 		lay:     layout.New(layout.DefaultParams()),
-		algo:    layout.BarnesHut,
 		dirty:   true,
 	}
 	if _, err := v.Graph(); err != nil {
@@ -196,10 +194,6 @@ func (v *View) ShiftTimeSlice(dt float64) {
 	v.dirty = true
 	v.touch()
 }
-
-// SetAlgorithm selects the repulsion engine (Naive for small graphs,
-// BarnesHut — the default — for large ones).
-func (v *View) SetAlgorithm(a layout.Algorithm) { v.algo = a; v.converged = false; v.touch() }
 
 // RefreshSource tells the view its underlying data changed — the live
 // streaming publisher calls it each tick after appending to the trace.
@@ -474,7 +468,7 @@ func (v *View) SetParallelism(n int) {
 func (v *View) StepLayout(n int) float64 {
 	var d float64
 	for i := 0; i < n; i++ {
-		d = v.lay.Step(v.algo)
+		d = v.lay.Step(layout.BarnesHut)
 	}
 	return d
 }
@@ -491,13 +485,31 @@ const relayoutHops = 2
 const maxActiveFraction = 0.25
 
 // Stabilize settles the layout below eps (or gives up after maxSteps),
-// returning the steps taken. On a layout that has converged before and
-// since been perturbed only locally — an aggregate/disaggregate, a fault
-// ripple, a drag — it refines just the BFS neighborhood of the perturbed
-// nodes against the settled surroundings instead of re-running the global
-// solver; everywhere else it runs cold. LastRelayout reports which path
-// ran.
+// returning the steps taken at full graph size, so steps < maxSteps means
+// converged. The first call on a view is the cold start: the multilevel
+// V-cycle coarsens along the aggregation hierarchy, solves the coarse
+// graph and refines down, spending at most maxSteps on the finest level.
+// Later calls refine in place: on a layout that has converged and since
+// been perturbed only locally — an aggregate/disaggregate, a fault
+// ripple, a drag — just the BFS neighborhood of the perturbed nodes
+// relaxes against the settled surroundings; otherwise every body is
+// stepped. LastRelayout reports which path ran. eps should be positive:
+// the cold start, like StabilizeMultilevel, reads eps <= 0 as the
+// multilevel default.
 func (v *View) Stabilize(maxSteps int, eps float64) int {
+	if maxSteps <= 0 {
+		return 0
+	}
+	if v.lastRelayout.Mode == "" {
+		mp := layout.DefaultMultilevelParams()
+		mp.Eps = eps
+		mp.FinalMaxSteps = maxSteps
+		stats := v.stabilizeMultilevel(mp)
+		if len(stats.Levels) == 0 {
+			return 0
+		}
+		return stats.Levels[len(stats.Levels)-1].Steps
+	}
 	if v.converged && len(v.perturbed) > 0 {
 		seeds := make([]string, 0, len(v.perturbed))
 		for id := range v.perturbed {
@@ -505,7 +517,7 @@ func (v *View) Stabilize(maxSteps int, eps float64) int {
 		}
 		active := v.lay.Neighborhood(seeds, relayoutHops)
 		if float64(len(active)) <= maxActiveFraction*float64(v.lay.Len()) {
-			steps, res := v.lay.RefineLocal(v.algo, seeds, relayoutHops, maxSteps, eps)
+			steps, res := v.lay.RefineLocal(seeds, relayoutHops, maxSteps, eps)
 			if res < eps {
 				obsRelayoutIncremental.Inc()
 				v.perturbed = nil
@@ -517,25 +529,29 @@ func (v *View) Stabilize(maxSteps int, eps float64) int {
 		}
 	}
 	obsRelayoutCold.Inc()
-	steps := v.lay.Run(v.algo, maxSteps, eps)
-	v.converged = steps < maxSteps || maxSteps <= 0
+	steps := v.lay.Run(layout.BarnesHut, maxSteps, eps)
+	v.converged = steps < maxSteps
 	v.perturbed = nil
 	v.lastRelayout = RelayoutInfo{Mode: "cold", Steps: steps}
 	return steps
 }
 
-// StabilizeMultilevel runs the multilevel V-cycle: coarsen along the
-// platform hierarchy (heavy-edge matching where it is exhausted), solve
-// the coarse graph, interpolate down and refine. It is the fast cold
-// start for large graphs — Stabilize afterwards serves interactions
-// incrementally. eps <= 0 uses the multilevel default.
+// StabilizeMultilevel forces a cold V-cycle with the default step
+// budgets, whatever the layout's state. eps <= 0 uses the multilevel
+// default.
 func (v *View) StabilizeMultilevel(eps float64) layout.MultilevelStats {
 	mp := layout.DefaultMultilevelParams()
 	if eps > 0 {
 		mp.Eps = eps
 	}
+	return v.stabilizeMultilevel(mp)
+}
+
+// stabilizeMultilevel runs the V-cycle with the aggregation tree as the
+// coarsening hierarchy (heavy-edge matching where it is exhausted).
+func (v *View) stabilizeMultilevel(mp layout.MultilevelParams) layout.MultilevelStats {
 	mp.Parent = v.layoutParentFunc()
-	stats := v.lay.RunMultilevel(v.algo, mp)
+	stats := v.lay.RunMultilevel(mp)
 	v.converged = stats.Converged
 	v.perturbed = nil
 	v.lastRelayout = RelayoutInfo{Mode: "multilevel", Steps: stats.TotalSteps, Residual: stats.Residual}

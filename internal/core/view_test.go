@@ -332,14 +332,6 @@ func TestSetFillAggregationThroughView(t *testing.T) {
 	}
 }
 
-func TestSetAlgorithm(t *testing.T) {
-	v := newView(t)
-	v.SetAlgorithm(layout.Naive)
-	if d := v.StepLayout(1); d <= 0 {
-		t.Error("naive step produced no motion")
-	}
-}
-
 func TestSmoothnessAcrossLevels(t *testing.T) {
 	// The paper's scalability argument: moving between scales must not
 	// shuffle the picture. Measure displacement of surviving nodes across

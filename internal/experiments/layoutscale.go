@@ -67,7 +67,7 @@ func LayoutScale(opts Options) (*Result, error) {
 		}
 
 		t0 = time.Now()
-		st := build(n).RunMultilevel(layout.BarnesHut, layout.MultilevelParams{Parent: parent})
+		st := build(n).RunMultilevel(layout.MultilevelParams{Parent: parent})
 		mlMS := time.Since(t0).Seconds() * 1000
 		if !st.Converged {
 			mlConverged = false

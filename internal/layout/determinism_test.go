@@ -6,61 +6,46 @@ import (
 )
 
 // The concurrency contract of the force engine: Parallelism is purely a
-// throughput knob. Serial and 8-way parallel runs must produce identical
-// (bit-for-bit, not merely close) snapshots, because per-body accumulation
-// order is a fixed function of the body and spring indices — never of the
-// worker count. This is the regression test for that invariant.
+// throughput knob. Serial, 2-way and 8-way parallel runs must produce
+// identical (bit-for-bit, not merely close) snapshots, because per-body
+// accumulation order is a fixed function of the body and spring indices —
+// never of the worker count. This is the regression test for that
+// invariant.
 func TestStepDeterministicAcrossParallelism(t *testing.T) {
-	run := func(algo Algorithm, n, steps, parallelism int) map[string]Point {
+	run := func(parallelism int) map[string]Point {
 		p := DefaultParams()
 		p.Parallelism = parallelism
 		l := New(p)
-		addScatter(t, l, n, "d")
-		for i := 0; i < steps; i++ {
-			l.Step(algo)
+		addScatter(t, l, 2000, "d")
+		for i := 0; i < 100; i++ {
+			l.Step(BarnesHut)
 		}
 		return l.Snapshot()
 	}
 
-	cases := []struct {
-		name     string
-		algo     Algorithm
-		n, steps int
-	}{
-		// 2k bodies exceeds the parallel grain at 8 workers, so the
-		// parallel run genuinely shards the force passes.
-		{"barneshut/2k", BarnesHut, 2000, 100},
-		// Naive is O(n²); a smaller graph keeps the race-instrumented CI
-		// run fast while still exercising the sharded all-pairs path.
-		{"naive/600", Naive, 600, 25},
-	}
-	// The small-n serial fallback would route naive/600 onto the serial
-	// path at every Parallelism, making the case vacuous — force the
-	// sharded all-pairs code to actually run.
-	defer func(min int) { naiveParallelMin = min }(naiveParallelMin)
-	naiveParallelMin = 0
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			serial := run(tc.algo, tc.n, tc.steps, 1)
-			parallel := run(tc.algo, tc.n, tc.steps, 8)
+	// 2k bodies exceeds the parallel grain at 8 workers, so the parallel
+	// runs genuinely shard the force passes.
+	t.Run("barneshut/2k", func(t *testing.T) {
+		serial := run(1)
+		for _, par := range []int{2, 8} {
+			parallel := run(par)
 			if len(serial) != len(parallel) {
-				t.Fatalf("snapshot sizes differ: %d vs %d", len(serial), len(parallel))
+				t.Fatalf("P=%d: snapshot sizes differ: %d vs %d", par, len(serial), len(parallel))
 			}
 			diverged := 0
 			for id, p := range serial {
 				if q := parallel[id]; p != q {
 					diverged++
 					if diverged <= 3 {
-						t.Errorf("body %s diverged: serial %v parallel %v", id, p, q)
+						t.Errorf("P=%d: body %s diverged: serial %v parallel %v", par, id, p, q)
 					}
 				}
 			}
 			if diverged > 0 {
-				t.Fatalf("%d of %d bodies diverged between Parallelism 1 and 8", diverged, len(serial))
+				t.Fatalf("%d of %d bodies diverged between Parallelism 1 and %d", diverged, len(serial), par)
 			}
-		})
-	}
+		}
+	})
 }
 
 // Mid-run mutations (the interactive aggregate/disaggregate churn) must
@@ -91,10 +76,13 @@ func TestDeterminismSurvivesMutation(t *testing.T) {
 		}
 		return l.Snapshot()
 	}
-	serial, parallel := run(1), run(8)
-	for id, p := range serial {
-		if q := parallel[id]; p != q {
-			t.Fatalf("body %s diverged after mutation: %v vs %v", id, p, q)
+	serial := run(1)
+	for _, par := range []int{2, 8} {
+		parallel := run(par)
+		for id, p := range serial {
+			if q := parallel[id]; p != q {
+				t.Fatalf("P=%d: body %s diverged after mutation: %v vs %v", par, id, p, q)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package layout
 
 import (
 	"sort"
-	"sync"
 
 	"viva/internal/obs"
 )
@@ -19,9 +18,10 @@ import (
 // surrounding field; the settled remainder simply is not re-integrated.
 // Cost per step is proportional to the active set, not the graph.
 //
-// Determinism holds by the same argument as the global step: per-body
-// accumulation never depends on the worker count, and the active set is a
-// sorted, purely graph-derived index list.
+// The active set runs through the same step kernel as Step, so
+// determinism holds by the same argument: per-body accumulation never
+// depends on the worker count, and the active set is a sorted, purely
+// graph-derived index list.
 
 var (
 	obsActiveSet = obs.Default.Gauge("viva_layout_active_bodies",
@@ -75,10 +75,11 @@ func (l *Layout) Neighborhood(seeds []string, hops int) []int32 {
 	return active
 }
 
-// RefineLocal relaxes the BFS neighborhood of the seed bodies in place,
-// leaving everything outside it untouched. It returns the steps taken and
-// the final active-set residual (0 when the active set is empty).
-func (l *Layout) RefineLocal(algo Algorithm, seeds []string, hops, maxSteps int, eps float64) (int, float64) {
+// RefineLocal relaxes the BFS neighborhood of the seed bodies in place
+// with Barnes-Hut, leaving everything outside it untouched. It returns the
+// steps taken and the final active-set residual (0 when the active set is
+// empty).
+func (l *Layout) RefineLocal(seeds []string, hops, maxSteps int, eps float64) (int, float64) {
 	active := l.Neighborhood(seeds, hops)
 	obsActiveSet.Set(float64(len(active)))
 	if len(active) == 0 {
@@ -86,175 +87,11 @@ func (l *Layout) RefineLocal(algo Algorithm, seeds []string, hops, maxSteps int,
 	}
 	var d float64
 	for i := 0; i < maxSteps; i++ {
-		d = l.stepSubset(algo, active)
+		d = l.step(BarnesHut, active)
+		obsLocalSteps.Inc()
 		if d < eps {
 			return i + 1, d
 		}
 	}
 	return maxSteps, d
-}
-
-// forActive is forBodies over an active-index list: contiguous shards of
-// the list, one per worker, stacks guaranteed.
-func (l *Layout) forActive(active []int32, fn func(worker, lo, hi int)) {
-	n := len(active)
-	w := l.workersFor(n)
-	for len(l.stacks) < w {
-		l.stacks = append(l.stacks, nil)
-	}
-	if w == 1 {
-		fn(0, 0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func(k int) {
-			defer wg.Done()
-			fn(k, k*n/w, (k+1)*n/w)
-		}(k)
-	}
-	wg.Wait()
-}
-
-// stepSubset advances only the active bodies one time step, computing
-// their forces against the entire graph, and returns the max displacement
-// over the active set. active must be sorted, deduplicated body indices.
-func (l *Layout) stepSubset(algo Algorithm, active []int32) float64 {
-	span := obs.StartSpan(obs.StageLayout)
-	if l.adjDirty || len(l.adj) != len(l.bodies) {
-		l.buildAdjacency() // integrateSubset needs fresh per-body stiffness
-	}
-	for _, i := range active {
-		l.bodies[i].force = Point{}
-	}
-	switch algo {
-	case BarnesHut:
-		l.repelBarnesHutSubset(active)
-	default:
-		l.repelNaiveSubset(active)
-	}
-	l.applySpringsSubset(active)
-	d := l.integrateSubset(active)
-	span.End()
-	obsLocalSteps.Inc()
-	obsResidual.Set(d)
-	return d
-}
-
-// repelBarnesHutSubset builds the quadtree over ALL bodies (the settled
-// surroundings must keep pushing) but evaluates it only for the active
-// ones.
-func (l *Layout) repelBarnesHutSubset(active []int32) {
-	root := l.arena.build(l.bodies)
-	if root == noNode {
-		return
-	}
-	theta := l.params.Theta
-	if theta <= 0 {
-		theta = 0.7
-	}
-	chargeK := l.params.Charge
-	l.forActive(active, func(w, lo, hi int) {
-		stack := l.stacks[w]
-		for k := lo; k < hi; k++ {
-			i := active[k]
-			b := l.bodies[i]
-			var f Point
-			f, stack = l.arena.forceOn(root, l.bodies, i, theta, chargeK, stack)
-			b.force = b.force.Add(f)
-		}
-		l.stacks[w] = stack
-	})
-}
-
-// repelNaiveSubset: each active body accumulates exact repulsion over all
-// partners, pair force always evaluated from the lower-index side — the
-// same canonical orientation as the parallel global path, so sharding the
-// active list cannot change a single bit.
-func (l *Layout) repelNaiveSubset(active []int32) {
-	c := l.params.Charge
-	l.forActive(active, func(_, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := int(active[k])
-			a := l.bodies[i]
-			f := a.force
-			for j, b := range l.bodies {
-				if j == i {
-					continue
-				}
-				if i < j {
-					f = f.Add(coulomb(a, b, c))
-				} else {
-					f = f.Sub(coulomb(b, a, c))
-				}
-			}
-			a.force = f
-		}
-	})
-}
-
-// applySpringsSubset pulls each active body's incident springs from the
-// adjacency in ascending spring order. Springs bridging to settled bodies
-// apply one-sidedly: the settled endpoint is not integrated, so its force
-// is never read.
-func (l *Layout) applySpringsSubset(active []int32) {
-	if len(l.springs) == 0 {
-		return
-	}
-	if l.adjDirty || len(l.adj) != len(l.bodies) {
-		l.buildAdjacency()
-	}
-	k := l.params.Spring
-	rest := l.params.SpringLength
-	l.forActive(active, func(_, lo, hi int) {
-		for m := lo; m < hi; m++ {
-			i := active[m]
-			b := l.bodies[i]
-			f := b.force
-			for _, e := range l.adj[i] {
-				si := e
-				if si < 0 {
-					si = -si
-				}
-				sf, ok := l.springForce(&l.springs[si-1], k, rest)
-				if !ok {
-					continue
-				}
-				if e > 0 {
-					f = f.Add(sf)
-				} else {
-					f = f.Sub(sf)
-				}
-			}
-			b.force = f
-		}
-	})
-}
-
-// integrateSubset is integrate restricted to the active list (ascending
-// index order, like the global pass).
-func (l *Layout) integrateSubset(active []int32) float64 {
-	dt := l.params.TimeStep
-	damp := l.params.Damping
-	maxV := l.params.MaxVelocity
-	var maxDisp float64
-	for _, i := range active {
-		b := l.bodies[i]
-		if b.Pinned {
-			b.Vel = Point{}
-			continue
-		}
-		dtb := l.bodyTimeStep(dt, int(i))
-		b.Vel = b.Vel.Add(b.force.Scale(dtb)).Scale(damp)
-		if v := b.Vel.Norm(); maxV > 0 && v > maxV {
-			b.Vel = b.Vel.Scale(maxV / v)
-		}
-		delta := b.Vel.Scale(dtb)
-		b.Pos = b.Pos.Add(delta)
-		if d := delta.Norm(); d > maxDisp {
-			maxDisp = d
-		}
-	}
-	return maxDisp
 }

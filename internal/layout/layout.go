@@ -141,6 +141,7 @@ type Layout struct {
 	// explicit update oscillate forever at the velocity cap (a backbone
 	// link with hundreds of attached host links, e.g.) — see integrate.
 	stiff []float64
+	all   []int32 // identity index list, see allIndices
 }
 
 // New creates an empty layout.
@@ -312,7 +313,9 @@ func (l *Layout) Move(id string, pos Point) bool {
 type Algorithm int
 
 const (
-	// Naive computes exact all-pairs repulsion in O(n²).
+	// Naive computes exact all-pairs repulsion in O(n²), serially: the
+	// exact-force oracle Barnes-Hut is checked against, and the baseline
+	// of the scale experiment.
 	Naive Algorithm = iota
 	// BarnesHut approximates far-field repulsion through a quadtree in
 	// O(n log n) — the paper's choice for large graphs.
@@ -322,24 +325,8 @@ const (
 // Step advances the simulation by one time step with the given engine and
 // returns the maximum displacement, the convergence measure.
 func (l *Layout) Step(algo Algorithm) float64 {
-	span := obs.StartSpan(obs.StageLayout)
-	if l.adjDirty || len(l.adj) != len(l.bodies) {
-		l.buildAdjacency() // integrate needs fresh per-body stiffness
-	}
-	for _, b := range l.bodies {
-		b.force = Point{}
-	}
-	switch algo {
-	case BarnesHut:
-		l.repelBarnesHut()
-	default:
-		l.repelNaive()
-	}
-	l.applySprings()
-	d := l.integrate()
-	span.End()
+	d := l.step(algo, l.allIndices())
 	obsSteps.Inc()
-	obsResidual.Set(d)
 	obsBodies.Set(float64(len(l.bodies)))
 	return d
 }
@@ -347,24 +334,64 @@ func (l *Layout) Step(algo Algorithm) float64 {
 // Run iterates until the maximum displacement per step falls below eps or
 // maxSteps is reached, returning the number of steps taken.
 func (l *Layout) Run(algo Algorithm, maxSteps int, eps float64) int {
+	steps, _ := l.run(algo, maxSteps, eps)
+	return steps
+}
+
+// run is Run returning both the steps taken and the last residual.
+func (l *Layout) run(algo Algorithm, maxSteps int, eps float64) (int, float64) {
+	var d float64
 	for i := 0; i < maxSteps; i++ {
-		if l.Step(algo) < eps {
-			return i + 1
+		d = l.Step(algo)
+		if d < eps {
+			return i + 1, d
 		}
 	}
-	return maxSteps
+	return maxSteps, d
+}
+
+// allIndices returns the identity index list 0..n-1 over the bodies,
+// cached so a global Step allocates nothing.
+func (l *Layout) allIndices() []int32 {
+	for i := len(l.all); i < len(l.bodies); i++ {
+		l.all = append(l.all, int32(i))
+	}
+	return l.all[:len(l.bodies)]
+}
+
+// step is the one step kernel: it advances the active bodies (sorted,
+// deduplicated body indices — every body for Step, a neighborhood for
+// RefineLocal) one time step, computing their forces against the entire
+// graph, and returns the max displacement over the active set. Bodies
+// outside the set are neither pushed nor integrated. Naive always steps
+// every body: it is only reached through Step.
+func (l *Layout) step(algo Algorithm, active []int32) float64 {
+	span := obs.StartSpan(obs.StageLayout)
+	if l.adjDirty || len(l.adj) != len(l.bodies) {
+		l.buildAdjacency() // springs and integrate need fresh adjacency
+	}
+	for _, i := range active {
+		l.bodies[i].force = Point{}
+	}
+	switch algo {
+	case BarnesHut:
+		l.repelBarnesHut(active)
+	default:
+		l.repelNaive()
+	}
+	l.applySprings(active)
+	d := l.integrate(active)
+	span.End()
+	obsResidual.Set(d)
+	return d
 }
 
 // parallelGrain is the minimum number of bodies per worker: below it the
 // goroutine fan-out costs more than the force arithmetic it spreads.
 const parallelGrain = 128
 
-// workerCount returns the number of goroutines the force passes use:
+// workersFor sizes the fan-out for a pass over n active bodies:
 // min(Parallelism or GOMAXPROCS, n/parallelGrain), at least 1.
-func (l *Layout) workerCount() int { return l.workersFor(len(l.bodies)) }
-
-// workersFor sizes the fan-out for a pass over n units of work (all
-// bodies for the global step, the active set for a local refinement).
 func (l *Layout) workersFor(n int) int {
 	p := l.params.Parallelism
 	if p <= 0 {
@@ -379,19 +406,20 @@ func (l *Layout) workersFor(n int) int {
 	return p
 }
 
-// forBodies runs fn over contiguous shards of the body slice, one shard
-// per worker, and guarantees l.stacks[w] exists for each worker. With a
-// single worker fn runs inline on the caller's goroutine. fn must only
-// write state owned by its own bodies (or its own worker slot), which is
-// what makes the fan-out race-free.
-func (l *Layout) forBodies(fn func(worker, lo, hi int)) {
-	n := len(l.bodies)
-	w := l.workerCount()
+// forBodies runs pass over contiguous shards of the active list, one
+// shard per worker, and guarantees l.stacks[w] exists for each worker.
+// With a single worker pass runs inline on the caller's goroutine. pass
+// must only write state owned by its own bodies (or its own worker slot),
+// which is what makes the fan-out race-free. It is a method expression
+// rather than a closure so the serial step allocates nothing.
+func (l *Layout) forBodies(active []int32, pass func(l *Layout, active []int32, worker, lo, hi int)) {
+	n := len(active)
+	w := l.workersFor(n)
 	for len(l.stacks) < w {
 		l.stacks = append(l.stacks, nil)
 	}
 	if w == 1 {
-		fn(0, 0, n)
+		pass(l, active, 0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -399,56 +427,23 @@ func (l *Layout) forBodies(fn func(worker, lo, hi int)) {
 	for k := 0; k < w; k++ {
 		go func(k int) {
 			defer wg.Done()
-			fn(k, k*n/w, (k+1)*n/w)
+			pass(l, active, k, k*n/w, (k+1)*n/w)
 		}(k)
 	}
 	wg.Wait()
 }
 
-// naiveParallelMin is the body count below which the naive engine always
-// takes the serial path regardless of Parallelism. The parallel variant
-// evaluates every pair from both sides — twice the arithmetic — so it
-// needs enough workers over enough bodies to amortize; below this point
-// it is strictly slower (BENCH_layout.json had n=1000/p=4 at 1.7× the
-// p=1 cost). A var, not a const, so tests can force the parallel path on
-// small graphs. Harmless for determinism: both paths are bitwise equal.
-var naiveParallelMin = 2048
-
-// repelNaive computes the exact all-pairs repulsion. The serial path uses
-// the classic i<j symmetric loop (each pair once); the parallel path has
-// every body accumulate over all partners, with the pair force always
-// evaluated from the lower-index side. Both orderings apply bitwise-equal
-// terms to each body in the same (ascending index) sequence, so every
-// Parallelism setting produces identical floating-point results.
+// repelNaive computes the exact all-pairs repulsion over every body with
+// the classic i<j symmetric loop (each pair once).
 func (l *Layout) repelNaive() {
 	c := l.params.Charge
-	if l.workerCount() == 1 || len(l.bodies) < naiveParallelMin {
-		for i, a := range l.bodies {
-			for _, b := range l.bodies[i+1:] {
-				f := coulomb(a, b, c)
-				a.force = a.force.Add(f)
-				b.force = b.force.Sub(f)
-			}
+	for i, a := range l.bodies {
+		for _, b := range l.bodies[i+1:] {
+			f := coulomb(a, b, c)
+			a.force = a.force.Add(f)
+			b.force = b.force.Sub(f)
 		}
-		return
 	}
-	l.forBodies(func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			a := l.bodies[i]
-			f := a.force
-			for j, b := range l.bodies {
-				if j == i {
-					continue
-				}
-				if i < j {
-					f = f.Add(coulomb(a, b, c))
-				} else {
-					f = f.Sub(coulomb(b, a, c))
-				}
-			}
-			a.force = f
-		}
-	})
 }
 
 // coulomb returns the force pushing a away from b.
@@ -523,52 +518,44 @@ func (l *Layout) buildAdjacency() {
 	l.adjDirty = false
 }
 
-// applySprings accumulates the Hooke attractions. The serial path walks
-// the spring list once; the parallel path has each body pull its own
-// incident springs from the prebuilt adjacency, so every write stays on
-// the worker's own shard. Per body, both paths apply bitwise-equal terms
-// in ascending spring order — results are identical at every Parallelism.
-func (l *Layout) applySprings() {
+// applySprings accumulates the Hooke attractions on the active bodies:
+// each pulls its own incident springs from the prebuilt adjacency, so
+// every write stays on the worker's own shard. Per body the terms are
+// added in ascending spring order — exactly the sequence a single walk of
+// the spring list would apply — so results are identical at every
+// Parallelism. Springs bridging to an inactive body apply one-sidedly:
+// that body is not integrated, so its force is never read.
+func (l *Layout) applySprings(active []int32) {
+	if len(l.springs) > 0 {
+		l.forBodies(active, (*Layout).springShard)
+	}
+}
+
+// springShard is applySprings over active[lo:hi].
+func (l *Layout) springShard(active []int32, _, lo, hi int) {
 	k := l.params.Spring
 	rest := l.params.SpringLength
-	if l.workerCount() == 1 || len(l.springs) == 0 {
-		for si := range l.springs {
-			s := &l.springs[si]
-			f, ok := l.springForce(s, k, rest)
+	for m := lo; m < hi; m++ {
+		i := active[m]
+		b := l.bodies[i]
+		f := b.force
+		for _, e := range l.adj[i] {
+			si := e
+			if si < 0 {
+				si = -si
+			}
+			sf, ok := l.springForce(&l.springs[si-1], k, rest)
 			if !ok {
 				continue
 			}
-			a, b := l.index[s.A], l.index[s.B]
-			a.force = a.force.Add(f)
-			b.force = b.force.Sub(f)
-		}
-		return
-	}
-	if l.adjDirty || len(l.adj) != len(l.bodies) {
-		l.buildAdjacency()
-	}
-	l.forBodies(func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b := l.bodies[i]
-			f := b.force
-			for _, e := range l.adj[i] {
-				si := e
-				if si < 0 {
-					si = -si
-				}
-				sf, ok := l.springForce(&l.springs[si-1], k, rest)
-				if !ok {
-					continue
-				}
-				if e > 0 {
-					f = f.Add(sf)
-				} else {
-					f = f.Sub(sf)
-				}
+			if e > 0 {
+				f = f.Add(sf)
+			} else {
+				f = f.Sub(sf)
 			}
-			b.force = f
 		}
-	})
+		b.force = f
+	}
 }
 
 // bodyTimeStep clamps the integration step of one body by its aggregate
@@ -588,17 +575,20 @@ func (l *Layout) bodyTimeStep(dt float64, i int) float64 {
 	return dt
 }
 
-func (l *Layout) integrate() float64 {
+// integrate advances the active bodies (ascending index order) by their
+// accumulated forces and returns the largest displacement.
+func (l *Layout) integrate(active []int32) float64 {
 	dt := l.params.TimeStep
 	damp := l.params.Damping
 	maxV := l.params.MaxVelocity
 	var maxDisp float64
-	for i, b := range l.bodies {
+	for _, i := range active {
+		b := l.bodies[i]
 		if b.Pinned {
 			b.Vel = Point{}
 			continue
 		}
-		dtb := l.bodyTimeStep(dt, i)
+		dtb := l.bodyTimeStep(dt, int(i))
 		b.Vel = b.Vel.Add(b.force.Scale(dtb)).Scale(damp)
 		if v := b.Vel.Norm(); maxV > 0 && v > maxV {
 			b.Vel = b.Vel.Scale(maxV / v)

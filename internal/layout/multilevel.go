@@ -75,8 +75,9 @@ type MultilevelParams struct {
 	MinBodies int
 	// MaxLevels bounds the level chain. Default 24.
 	MaxLevels int
-	// CoarseMaxSteps is the step budget for solving the coarsest level;
-	// it is cheap there, so the default is generous (500).
+	// CoarseMaxSteps is the step budget for solving the coarsest level
+	// when it is not the finest one; it is cheap there, so the default is
+	// generous (500).
 	CoarseMaxSteps int
 	// LevelMaxSteps is the refinement budget per intermediate level
 	// (default 400). Intermediate levels are cheap relative to the finest
@@ -162,12 +163,12 @@ type MultilevelStats struct {
 	Converged bool
 }
 
-// RunMultilevel lays out the graph with the coarsen → solve → interpolate
-// → refine V-cycle and leaves the result in l's bodies, replacing their
-// positions and velocities. Pinned bodies are never moved. It returns
-// per-level statistics; the layout is bit-for-bit identical at any
-// Params.Parallelism.
-func (l *Layout) RunMultilevel(algo Algorithm, mp MultilevelParams) MultilevelStats {
+// RunMultilevel lays out the graph with the Barnes-Hut coarsen → solve →
+// interpolate → refine V-cycle and leaves the result in l's bodies,
+// replacing their positions and velocities. Pinned bodies are never
+// moved. It returns per-level statistics; the layout is bit-for-bit
+// identical at any Params.Parallelism.
+func (l *Layout) RunMultilevel(mp MultilevelParams) MultilevelStats {
 	mp.fillDefaults()
 	var stats MultilevelStats
 	if len(l.bodies) == 0 {
@@ -206,12 +207,14 @@ func (l *Layout) RunMultilevel(algo Algorithm, mp MultilevelParams) MultilevelSt
 		if k < len(levels)-1 {
 			interpolate(lev, levels[k+1], owners[k+1], mp.JitterFrac)
 		}
+		// The finest level is the caller's own graph, so its budget wins
+		// even when it is also the coarsest (nothing to coarsen).
 		budget := mp.LevelMaxSteps
 		switch k {
-		case len(levels) - 1:
-			budget = mp.CoarseMaxSteps
 		case 0:
 			budget = mp.FinalMaxSteps
+		case len(levels) - 1:
+			budget = mp.CoarseMaxSteps
 		}
 		obsMLLevel.Set(float64(k))
 		// Coarse levels only seed the next finer one, so their residual
@@ -222,7 +225,7 @@ func (l *Layout) RunMultilevel(algo Algorithm, mp MultilevelParams) MultilevelSt
 		if k > 0 {
 			eps = mp.Eps * math.Sqrt(float64(l.Len())/float64(lev.Len()))
 		}
-		steps, residual := runBudget(lev, algo, budget, eps)
+		steps, residual := lev.run(BarnesHut, budget, eps)
 		stepC, resG := mlLevelObs(k)
 		stepC.Add(uint64(steps))
 		resG.Set(residual)
@@ -265,16 +268,4 @@ func interpolate(fine, coarse *Layout, owner []int32, jitterFrac float64) {
 		r := radius * (0.5 + float64((h/3600)%100)/200)
 		b.Pos = b.Pos.Add(Point{r * math.Cos(angle), r * math.Sin(angle)})
 	}
-}
-
-// runBudget is Run returning both the steps taken and the last residual.
-func runBudget(l *Layout, algo Algorithm, maxSteps int, eps float64) (int, float64) {
-	var d float64
-	for i := 0; i < maxSteps; i++ {
-		d = l.Step(algo)
-		if d < eps {
-			return i + 1, d
-		}
-	}
-	return maxSteps, d
 }

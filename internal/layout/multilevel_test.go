@@ -56,7 +56,7 @@ func TestRunMultilevelDeterministicAcrossParallelism(t *testing.T) {
 		parent := buildHierarchical(t, l, 1500)
 		mp := DefaultMultilevelParams()
 		mp.Parent = parent
-		l.RunMultilevel(BarnesHut, mp)
+		l.RunMultilevel(mp)
 		return l.Snapshot()
 	}
 	base := run(1)
@@ -204,7 +204,7 @@ func TestMultilevelConvergesWithFewerFineSteps(t *testing.T) {
 	mp := DefaultMultilevelParams()
 	mp.Parent = parent
 	mp.Eps = eps
-	stats := ml.RunMultilevel(BarnesHut, mp)
+	stats := ml.RunMultilevel(mp)
 
 	for _, lv := range stats.Levels {
 		t.Logf("level %d (%s): %d bodies, %d springs, %d steps, residual %.3g",
@@ -256,7 +256,7 @@ func TestRefineLocalReachesColdResidualBound(t *testing.T) {
 
 	inc := build()
 	perturb(inc)
-	steps, res := inc.RefineLocal(BarnesHut, []string{"h42/host"}, 2, 2000, eps)
+	steps, res := inc.RefineLocal([]string{"h42/host"}, 2, 2000, eps)
 	if res >= eps {
 		t.Fatalf("incremental refinement stuck at residual %g after %d steps", res, steps)
 	}
@@ -304,7 +304,7 @@ func TestRefineLocalDeterministicAcrossParallelism(t *testing.T) {
 		if err := l.SetSprings(springs); err != nil {
 			t.Fatal(err)
 		}
-		l.RefineLocal(BarnesHut, []string{"hub/host"}, 1, 50, 0)
+		l.RefineLocal([]string{"hub/host"}, 1, 50, 0)
 		return l.Snapshot()
 	}
 	base := run(1)

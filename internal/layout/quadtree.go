@@ -45,6 +45,7 @@ type quadArena struct {
 	// maxDepth is the deepest level the last build reached — an
 	// observability statistic (obs gauge), not used by the force pass.
 	maxDepth int
+	root     int32 // root index of the last build, as build returned it
 }
 
 // build constructs the tree over the bodies, reusing the slab from the
@@ -83,6 +84,7 @@ func (a *quadArena) build(bodies []*Body) int32 {
 	for i := range bodies {
 		a.insert(root, bodies, int32(i), 0)
 	}
+	a.root = root
 	return root
 }
 
@@ -222,26 +224,33 @@ func (a *quadArena) forceOn(root int32, bodies []*Body, bi int32, theta, chargeK
 	return out, stack
 }
 
-func (l *Layout) repelBarnesHut() {
+// repelBarnesHut builds the quadtree over ALL bodies (inactive ones must
+// keep pushing) and evaluates it for the active ones.
+func (l *Layout) repelBarnesHut(active []int32) {
 	root := l.arena.build(l.bodies)
 	obsQuadNodes.Set(float64(len(l.arena.nodes)))
 	obsQuadDepth.Set(float64(l.arena.maxDepth))
 	if root == noNode {
 		return
 	}
+	l.forBodies(active, (*Layout).repelShard)
+}
+
+// repelShard adds the Barnes-Hut repulsion to active[lo:hi], walking the
+// tree the last build left in the arena.
+func (l *Layout) repelShard(active []int32, w, lo, hi int) {
 	theta := l.params.Theta
 	if theta <= 0 {
 		theta = 0.7
 	}
 	chargeK := l.params.Charge
-	l.forBodies(func(w, lo, hi int) {
-		stack := l.stacks[w]
-		for i := lo; i < hi; i++ {
-			b := l.bodies[i]
-			var f Point
-			f, stack = l.arena.forceOn(root, l.bodies, int32(i), theta, chargeK, stack)
-			b.force = b.force.Add(f)
-		}
-		l.stacks[w] = stack // keep the grown capacity for the next step
-	})
+	stack := l.stacks[w]
+	for k := lo; k < hi; k++ {
+		i := active[k]
+		b := l.bodies[i]
+		var f Point
+		f, stack = l.arena.forceOn(l.arena.root, l.bodies, i, theta, chargeK, stack)
+		b.force = b.force.Add(f)
+	}
+	l.stacks[w] = stack // keep the grown capacity for the next step
 }

@@ -146,7 +146,7 @@ func TestBarnesHutConvergesToNaiveAsThetaShrinks(t *testing.T) {
 			for _, b := range l.bodies {
 				b.force = Point{}
 			}
-			l.repelBarnesHut()
+			l.repelBarnesHut(l.allIndices())
 			var worst float64
 			for i, b := range l.bodies {
 				if e := b.force.Sub(exact[i]).Norm() / scale; e > worst {

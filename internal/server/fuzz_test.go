@@ -1,0 +1,94 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"testing"
+)
+
+// FuzzGraphQuery drives /api/graph's query parsing (steps, viewport,
+// zoom) with arbitrary strings. Every request must end in 200 or 400 —
+// never a panic (the recovery middleware would turn it into a 500) — and
+// a 200 must come from finite inputs and carry only finite numbers. The
+// seed corpus covers the full and LOD forms, every rejection branch, and
+// the non-finite spellings fmt's %f accepts (NaN, Inf, +Inf, -Inf).
+func FuzzGraphQuery(f *testing.F) {
+	f.Add("", "", "")
+	f.Add("0", "", "")
+	f.Add("5", "-100,-100,100,100", "1")
+	f.Add("1000", "-1e3,-1e3,1e3,1e3", "0.25")
+	f.Add("1001", "", "")                 // steps out of range
+	f.Add("-1", "", "")                   // negative steps
+	f.Add("x", "", "")                    // not a number
+	f.Add("3", "1,1,0,0", "")             // inverted corners
+	f.Add("3", "0,0,1", "")               // too few corners
+	f.Add("3", "0,0,1,1", "0")            // zero zoom
+	f.Add("3", "0,0,1,1", "-2")           // negative zoom
+	f.Add("3", "0,0,1,1", "abc")          // bad zoom
+	f.Add("3", "NaN,0,1,1", "")           // NaN corner
+	f.Add("3", "0,0,Inf,1", "")           // infinite corner
+	f.Add("3", "-Inf,-Inf,+Inf,+Inf", "") // infinite viewport
+	f.Add("3", "0,0,1,1", "+Inf")         // infinite zoom
+	f.Add("3", "0,0,1,1", "NaN")          // NaN zoom
+	f.Add("3", "0,0,1,1", "1e308")        // huge finite zoom
+	f.Add("3", "-1e308,-1e308,1e308,1e308", "1e-308")
+
+	h := New(testView(f)).Handler()
+	f.Fuzz(func(t *testing.T, steps, viewport, zoom string) {
+		q := url.Values{}
+		for k, v := range map[string]string{"steps": steps, "viewport": viewport, "zoom": zoom} {
+			if v != "" {
+				q.Set(k, v)
+			}
+		}
+		req := httptest.NewRequest(http.MethodGet, "/api/graph?"+q.Encode(), nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusBadRequest:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("steps=%q viewport=%q zoom=%q: status %d: %s", steps, viewport, zoom, rec.Code, rec.Body.String())
+		}
+		if viewport != "" {
+			var c [4]float64
+			if _, err := fmt.Sscanf(viewport, "%f,%f,%f,%f", &c[0], &c[1], &c[2], &c[3]); err == nil && !finite(c[:]...) {
+				t.Fatalf("viewport %q accepted with non-finite corners %v", viewport, c)
+			}
+			var z float64
+			if _, err := fmt.Sscanf(zoom, "%f", &z); err == nil && !finite(z) {
+				t.Fatalf("zoom %q accepted", zoom)
+			}
+		}
+		var body any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("200 with undecodable body: %v", err)
+		}
+		checkFinite(t, body)
+	})
+}
+
+// checkFinite walks a decoded JSON value and fails on any non-finite
+// number.
+func checkFinite(t *testing.T, v any) {
+	t.Helper()
+	switch x := v.(type) {
+	case float64:
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			t.Fatalf("non-finite number %g in response", x)
+		}
+	case []any:
+		for _, e := range x {
+			checkFinite(t, e)
+		}
+	case map[string]any:
+		for _, e := range x {
+			checkFinite(t, e)
+		}
+	}
+}

@@ -331,14 +331,16 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	zoom := 1.0
 	if q := r.URL.Query().Get("viewport"); q != "" {
 		var v vizgraph.Viewport
+		// Sscanf's %f accepts NaN and ±Inf, which slip past the ordering
+		// checks: reject them explicitly.
 		if _, err := fmt.Sscanf(q, "%f,%f,%f,%f", &v.MinX, &v.MinY, &v.MaxX, &v.MaxY); err != nil ||
-			v.MaxX < v.MinX || v.MaxY < v.MinY {
+			!finite(v.MinX, v.MinY, v.MaxX, v.MaxY) || v.MaxX < v.MinX || v.MaxY < v.MinY {
 			writeErr(w, fmt.Errorf("bad viewport %q (want minX,minY,maxX,maxY)", q))
 			return
 		}
 		vp = &v
 		if zq := r.URL.Query().Get("zoom"); zq != "" {
-			if _, err := fmt.Sscanf(zq, "%f", &zoom); err != nil || zoom <= 0 {
+			if _, err := fmt.Sscanf(zq, "%f", &zoom); err != nil || !finite(zoom) || zoom <= 0 {
 				writeErr(w, fmt.Errorf("bad zoom %q", zq))
 				return
 			}
@@ -412,6 +414,16 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(body)
+}
+
+// finite reports whether every value is neither NaN nor ±Inf.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // nodeToJSON renders one visual node plus its layout body to wire form.

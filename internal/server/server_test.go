@@ -16,7 +16,7 @@ import (
 	"viva/internal/trace"
 )
 
-func testView(t *testing.T) *core.View {
+func testView(t testing.TB) *core.View {
 	t.Helper()
 	tr := trace.New()
 	tr.MustDeclareResource("root", trace.TypeGroup, "")

@@ -90,6 +90,16 @@ func TestStreamChaos(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	flightBase := obs.Flight.Seq()
+	dropBase := obsDropped.Value()
+
+	// The hoarder subscribes before the first publish and never calls
+	// Take until the publisher is done, so it sees every snapshot and its
+	// ring overflows for certain: the run publishes far more snapshots
+	// than a ring holds, whatever the scheduler does to the stallers.
+	hoarder, err := s.Hub.Subscribe(0)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -178,6 +188,9 @@ func TestStreamChaos(t *testing.T) {
 	if err := <-pubDone; err != nil {
 		t.Fatalf("publisher: %v", err)
 	}
+	hoard := &chaosClient{id: clients, behavior: "hoarder"}
+	snaps, hoardDropped, _ := hoarder.Take(nil)
+	hoard.consume(snaps, hoardDropped)
 	// Publisher done; hub still serves terminal state. Shut it down so
 	// every client drains its final ring and exits.
 	s.Hub.Close()
@@ -187,6 +200,10 @@ func TestStreamChaos(t *testing.T) {
 	if rep.Events == 0 || rep.Errors != 0 {
 		t.Fatalf("report: %+v", rep)
 	}
+	if hoardDropped == 0 {
+		t.Fatalf("hoarder never overflowed its ring over %d snapshots", rep.FinalSeq)
+	}
+	all = append(all, hoard)
 	// "Never blocks on a client": with thousands of stalled and slow
 	// rings in play, a publish is still just pointer pushes — even under
 	// the race detector a tick must come nowhere near seconds.
@@ -203,11 +220,11 @@ func TestStreamChaos(t *testing.T) {
 		}
 	}
 
-	// The flight recorder is the run's black box: with stallers dropping
-	// frames by design, sub_drop events must land in the ring, and every
-	// shed the report counts must leave a shed event behind. The ring may
-	// have wrapped, so count by kind over what survived plus what the
-	// global sequence says happened since the baseline.
+	// The flight recorder is the run's black box: a subscriber drop burst
+	// must leave a sub_drop event exactly when viva_stream_dropped_total
+	// moved, and every shed the report counts must leave a shed event
+	// behind. The ring may have wrapped, so count by kind over what
+	// survived, and only demand an event when nothing was overwritten.
 	flightKinds := make(map[string]int)
 	for _, ev := range obs.Flight.Snapshot(0) {
 		if ev.Seq > flightBase {
@@ -218,10 +235,15 @@ func TestStreamChaos(t *testing.T) {
 	if recorded == 0 {
 		t.Fatal("chaos run recorded no flight events")
 	}
-	if flightKinds["sub_drop"] == 0 && recorded <= uint64(obs.Flight.Len()) {
-		t.Fatalf("stalled clients dropped frames but no sub_drop events in flight ring: %v", flightKinds)
+	wrapped := recorded > uint64(obs.Flight.Len())
+	dropped := obsDropped.Value() - dropBase
+	if flightKinds["sub_drop"] > 0 && dropped == 0 {
+		t.Fatalf("flight ring has %d sub_drop events but viva_stream_dropped_total did not move", flightKinds["sub_drop"])
 	}
-	if rep.Sheds > 0 && flightKinds["shed"] == 0 && recorded <= uint64(obs.Flight.Len()) {
+	if dropped > 0 && flightKinds["sub_drop"] == 0 && !wrapped {
+		t.Fatalf("subscribers dropped %d frames but no sub_drop events in flight ring: %v", dropped, flightKinds)
+	}
+	if rep.Sheds > 0 && flightKinds["shed"] == 0 && !wrapped {
 		t.Fatalf("report counts %d sheds but flight ring has none: %v", rep.Sheds, flightKinds)
 	}
 

@@ -26,7 +26,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${1:-1x}"
-# The layout suite tracks per-step cost (naive, Barnes-Hut, sharded) and
+# The layout suite tracks per-step cost (naive, Barnes-Hut at 1-8 workers) and
 # the whole-layout convergence race: BenchmarkLayoutMultilevel vs
 # BenchmarkLayoutFlatConverge report ms-to-conv (wall-clock cold seed to
 # residual < eps), the multilevel speedup headline.
