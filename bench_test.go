@@ -257,7 +257,9 @@ func BenchmarkFig9Animation(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v.ShiftTimeSlice(end / 1000)
+		if err := v.ShiftTimeSlice(end / 1000); err != nil {
+			b.Fatal(err)
+		}
 		if _, err := v.Graph(); err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package aggregation
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -52,10 +53,12 @@ func TestSummariseMedianMatchesSort(t *testing.T) {
 	}
 }
 
-// TestAggregatorStatsCache pins the per-slice result cache: repeated
-// queries hit it, moving the slice flushes it, timeline mutations reach
-// through it (the per-timeline index self-invalidates), and Invalidate
-// flushes the member lists after a brand-new metric appears.
+// TestAggregatorStatsCache pins what the aggregator memoizes and what it
+// does not. Stats results are not cached: a repeated query recomputes the
+// same bits, and a timeline mutation reaches every slice at once —
+// including slices queried before it — without Invalidate. What is
+// memoized is the member list, so a metric a resource never carried needs
+// Invalidate, which also bumps the epoch compiled build plans key on.
 func TestAggregatorStatsCache(t *testing.T) {
 	tr := sampleTrace(t)
 	ag, err := NewAggregator(tr)
@@ -75,9 +78,9 @@ func TestAggregatorStatsCache(t *testing.T) {
 		t.Fatalf("repeated query differs: %+v vs %+v", first, again)
 	}
 
-	// Timeline mutation: a never-queried slice computes fresh; the
-	// already-cached slice serves the stale aggregate until Invalidate
-	// (the documented frozen-trace contract).
+	// Timeline mutation: the new value reaches a fresh slice and the
+	// already-queried one alike, and the epoch does not move.
+	epoch := ag.Epoch()
 	if err := tr.Set(5, "h1", trace.MetricPower, 500); err != nil {
 		t.Fatal(err)
 	}
@@ -86,19 +89,14 @@ func TestAggregatorStatsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	near(t, "fresh slice after timeline mutation", st.Sum, 500+200+300)
-	stale, err := ag.Stats("grid", trace.TypeHost, trace.MetricPower, s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale != first {
-		t.Fatalf("cached slice recomputed without Invalidate: %+v vs %+v", stale, first)
-	}
-	ag.Invalidate()
 	st, err = ag.Stats("grid", trace.TypeHost, trace.MetricPower, s1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	near(t, "cached slice after Invalidate", st.Sum, (100*5+500*5)/10.0+200+300)
+	near(t, "queried slice after timeline mutation", st.Sum, (100*5+500*5)/10.0+200+300)
+	if ag.Epoch() != epoch {
+		t.Fatal("a query moved the epoch")
+	}
 
 	// A metric the resource never carried needs Invalidate: the memoized
 	// member list for (grid, host, usage) was resolved as empty.
@@ -112,6 +110,9 @@ func TestAggregatorStatsCache(t *testing.T) {
 		t.Fatalf("stale member list should still be served, got Count %d", st.Count)
 	}
 	ag.Invalidate()
+	if ag.Epoch() == epoch {
+		t.Fatal("Invalidate kept the epoch")
+	}
 	st, err = ag.Stats("grid", trace.TypeHost, trace.MetricUsage, s1)
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +120,83 @@ func TestAggregatorStatsCache(t *testing.T) {
 	if st.Count != 1 || st.Sum != 42 {
 		t.Fatalf("after Invalidate: Count %d Sum %g, want 1 and 42", st.Count, st.Sum)
 	}
+
+	// Epochs are unique across aggregators too.
+	other, err := NewAggregator(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Epoch() == ag.Epoch() || other.Epoch() == epoch {
+		t.Fatalf("epoch %d reused by a second aggregator", other.Epoch())
+	}
+}
+
+// TestStatsOverMatchesSummarise pins StatsOver to Summarise over the
+// member means, bit for bit, on both sides of the stack-buffer size.
+func TestStatsOverMatchesSummarise(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, smallMembers, smallMembers + 1, 100} {
+		tr := trace.New()
+		var series []trace.Series
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("h%d", i)
+			tr.MustDeclareResource(name, trace.TypeHost, "")
+			for k := 0; k < 5; k++ {
+				if err := tr.Set(float64(k)*2+r.Float64(), name, trace.MetricPower, float64(r.Intn(9))-2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			series = append(series, tr.Series(name, trace.MetricPower))
+		}
+		s := TimeSlice{r.Float64() * 3, 4 + r.Float64()*6}
+		means := make([]float64, n)
+		for i, tl := range series {
+			_, means[i] = TimeAggregate(tl, s)
+		}
+		if got, want := StatsOver(series, s), Summarise(means); got != want {
+			t.Errorf("n=%d: StatsOver %+v, Summarise %+v", n, got, want)
+		}
+	}
+}
+
+// TestMemberPairs pins the pairing behind FillMaxRatio: only members
+// carrying both metrics pair up, wherever they sit in declaration order.
+func TestMemberPairs(t *testing.T) {
+	tr := trace.New()
+	tr.MustDeclareResource("g", trace.TypeGroup, "")
+	for _, h := range []string{"a", "b", "c", "d"} {
+		tr.MustDeclareResource(h, trace.TypeHost, "g")
+	}
+	set := func(r, m string, v float64) {
+		if err := tr.Set(0, r, m, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Size on every host, fill only on b and d: a size-only member sits
+	// before each paired one.
+	for _, h := range []string{"a", "b", "c", "d"} {
+		set(h, trace.MetricPower, 10)
+	}
+	set("b", trace.MetricUsage, 2)
+	set("d", trace.MetricUsage, 7)
+	set("c", trace.MetricUsage+":x", 1) // a third metric, unrelated
+	tr.SetEnd(1)
+	ag, err := NewAggregator(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes, fills, err := ag.MemberPairs("g", trace.TypeHost, trace.MetricPower, trace.MetricUsage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sizes) != 2 || len(fills) != 2 {
+		t.Fatalf("got %d/%d pairs, want 2", len(sizes), len(fills))
+	}
+	u, err := ag.MaxMemberRatio("g", trace.TypeHost, trace.MetricUsage, trace.MetricPower, TimeSlice{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near(t, "max member ratio", u, 0.7)
 }
 
 // TestAggregatorConcurrentQueries hammers one aggregator from many

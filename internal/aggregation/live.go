@@ -17,11 +17,11 @@ var (
 
 // LiveWindow maintains the temporal half of Equation 1 — per-series
 // integral and time mean — over the advancing tail window of a *growing*
-// trace. Where the Aggregator assumes a frozen trace and memoizes per
-// slice, LiveWindow assumes a single writer appending monotone points and
-// keeps one cursor pair per timeline, so each Advance costs O(points
-// appended since the last call), not O(log n) index rebuild checks per
-// query and never a wholesale cache flush.
+// trace. Where the Aggregator memoizes member lists and integrates each
+// query through the timeline index (rebuilt after every append),
+// LiveWindow assumes a single writer appending monotone points and keeps
+// one cursor pair per timeline, so each Advance costs O(points appended
+// since the last call), never an index rebuild.
 //
 // The arithmetic matters as much as the complexity: each cursor
 // accumulates whole segments with exactly the left-to-right recurrence

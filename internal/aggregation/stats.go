@@ -3,24 +3,24 @@ package aggregation
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"viva/internal/obs"
 	"viva/internal/trace"
 )
 
-// Self-observation of the Eq. 1 hot path: how often the per-(query,
-// slice) Stats cache saves the aggregation scan, and how much cold work
-// (member resolution, wholesale flushes) happens behind it.
+// Self-observation of the Eq. 1 cold work: member resolution and the
+// invalidations that force it to happen again.
 var (
-	obsStatsHits = obs.Default.Counter("viva_agg_stats_cache_hits_total",
-		"Stats queries answered from the (query, slice) cache.")
-	obsStatsMisses = obs.Default.Counter("viva_agg_stats_cache_misses_total",
-		"Stats queries computed from member timelines.")
-	obsStatsFlushes = obs.Default.Counter("viva_agg_stats_cache_flushes_total",
-		"Wholesale Stats-cache flushes (bound reached or Invalidate).")
+	obsInvalidations = obs.Default.Counter("viva_agg_invalidations_total",
+		"Aggregator invalidations (each bumps the epoch compiled build plans key on).")
 	obsMemberResolves = obs.Default.Counter("viva_agg_member_resolves_total",
 		"Member-list resolutions ((group, type, metric) cold paths).")
 )
+
+// epochs hands out aggregator epochs: unique across aggregators, so a
+// build plan compiled against one aggregator never matches another.
+var epochs atomic.Uint64
 
 // TimeSlice is the temporal neighbourhood Δ of Equation 1: the window
 // [Start, End] the analyst selects with the time-slice cursors.
@@ -68,55 +68,41 @@ type memberKey struct {
 }
 
 // memberList is the resolved membership of a (group, type, metric)
-// query: entity names in declaration order and their timelines, so the
+// query: entity names in declaration order, their positions among the
+// group's leaves (for pairing two lists), and their timelines, so the
 // per-frame hot loop touches neither the hierarchy nor the trace's
 // variable map.
 type memberList struct {
 	names []string
+	pos   []int32
 	tls   []trace.Series
 }
 
 // Aggregator evaluates F_{Γ,Δ} over a trace: spatial groups from the
-// trace hierarchy × a time slice. It is the aggregation query engine of
-// the interactive loop, so it memoizes aggressively:
-//
-//   - member lists per (group, type, metric) are resolved once per tree
-//     and reused, replacing the per-call hierarchy walks;
-//   - Stats results are cached per (members, slice), so repeated queries
-//     within one frame (Utilization asks for the same Stats twice; the
-//     vizgraph build asks per segment category) and revisited slices
-//     (scrubbing sweeps back and forth over the same positions) are
-//     O(1). The cache is bounded: it is flushed wholesale when it
-//     outgrows maxStatsEntries.
+// trace hierarchy × a time slice. Its memo is the slice-invariant half of
+// Equation 1: member lists per (group, type, metric) are resolved once
+// and reused, replacing per-call hierarchy walks. The slice-dependent
+// half is StatsOver, a pure function of the resolved series and the
+// slice, so there is no per-slice result to cache or to go stale:
+// callers that evaluate many slices over one cut (vizgraph's build plan)
+// resolve the series once through Members and call StatsOver per frame.
 //
 // Queries are safe for concurrent use (the parallel vizgraph build
-// shards groups across goroutines). The caches assume the trace is
-// frozen while the aggregator serves queries, which is the library's
-// model (simulators hand the trace over when done). If the trace does
-// change afterwards — new values on an existing timeline, or a brand-new
-// (resource, metric) pair — call Invalidate to flush cached results;
+// shards nodes across goroutines). New values on an existing timeline
+// reach the next query directly, since member series read the live
+// timelines. A brand-new (resource, metric) pair needs Invalidate, which
+// drops the member lists and bumps the epoch that compiled plans key on;
 // newly declared resources need a new Aggregator (the hierarchy itself
 // is built once).
 type Aggregator struct {
-	src  Source
-	tree *Tree
+	src   Source
+	tree  *Tree
+	epoch atomic.Uint64
 
 	mu      sync.RWMutex
 	members map[memberKey]*memberList
 	counts  map[[2]string]int // (group, type) → entity count
-	stats   map[statsKey]Stats
 }
-
-// statsKey identifies one cached Stats result: a member list evaluated
-// over one time slice.
-type statsKey struct {
-	mk    memberKey
-	slice TimeSlice
-}
-
-// maxStatsEntries bounds the stats cache; one entry is ~100 bytes, so the
-// worst case is a few MB before a wholesale flush.
-const maxStatsEntries = 1 << 16
 
 // NewAggregator builds an aggregator for a source — an in-heap
 // *trace.Trace or an out-of-core *store.Store.
@@ -125,13 +111,14 @@ func NewAggregator(src Source) (*Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Aggregator{
+	ag := &Aggregator{
 		src:     src,
 		tree:    tree,
 		members: make(map[memberKey]*memberList),
 		counts:  make(map[[2]string]int),
-		stats:   make(map[statsKey]Stats),
-	}, nil
+	}
+	ag.epoch.Store(epochs.Add(1))
+	return ag, nil
 }
 
 // Tree returns the hierarchy the aggregator works on.
@@ -149,19 +136,22 @@ func (ag *Aggregator) Trace() *trace.Trace {
 	return tr
 }
 
-// Invalidate drops every memoized member list and cached result. Call it
-// after mutating the trace in any way: new values on an existing
-// timeline (previously cached slices would otherwise keep serving the
-// old aggregate) or a metric a resource did not previously carry. Newly
-// declared resources need a new Aggregator (the hierarchy itself is
-// built once).
+// Epoch identifies the aggregator's current memo: unique across
+// aggregators and bumped by every Invalidate. Anything derived from
+// Members (a compiled build plan) stays valid while the epoch holds.
+func (ag *Aggregator) Epoch() uint64 { return ag.epoch.Load() }
+
+// Invalidate drops every memoized member list and bumps the epoch. Call
+// it after a resource gains a metric it did not previously carry (the
+// live streaming publisher calls it every tick). Newly declared
+// resources need a new Aggregator (the hierarchy itself is built once).
 func (ag *Aggregator) Invalidate() {
 	ag.mu.Lock()
 	ag.members = make(map[memberKey]*memberList)
 	ag.counts = make(map[[2]string]int)
-	ag.stats = make(map[statsKey]Stats)
+	ag.epoch.Store(epochs.Add(1))
 	ag.mu.Unlock()
-	obsStatsFlushes.Inc()
+	obsInvalidations.Inc()
 	ag.tree.invalidate()
 }
 
@@ -181,7 +171,7 @@ func (ag *Aggregator) resolveMembers(group, typ, metric string) (*memberList, er
 		return nil, err
 	}
 	ml = &memberList{}
-	for _, l := range leaves {
+	for i, l := range leaves {
 		if typ != "" && ag.tree.Node(l).Type != typ {
 			continue
 		}
@@ -189,6 +179,7 @@ func (ag *Aggregator) resolveMembers(group, typ, metric string) (*memberList, er
 			continue
 		}
 		ml.names = append(ml.names, l)
+		ml.pos = append(ml.pos, int32(i))
 		ml.tls = append(ml.tls, ag.src.Series(l, metric))
 	}
 	ag.mu.Lock()
@@ -201,6 +192,49 @@ func (ag *Aggregator) resolveMembers(group, typ, metric string) (*memberList, er
 	}
 	ag.mu.Unlock()
 	return ml, nil
+}
+
+// Members returns the series of the entities of the given type under
+// group that carry the metric, in declaration order (typ == "" accepts
+// every type): the member set Stats aggregates. The slice is memoized
+// and shared; callers must not modify it.
+func (ag *Aggregator) Members(group, typ, metric string) ([]trace.Series, error) {
+	ml, err := ag.resolveMembers(group, typ, metric)
+	if err != nil {
+		return nil, err
+	}
+	return ml.tls, nil
+}
+
+// MemberPairs returns, for the entities of the given type under group
+// that carry both metrics a and b, their a and b series paired index by
+// index in declaration order. Members carrying only one of the two are
+// left out. The slices are fresh.
+func (ag *Aggregator) MemberPairs(group, typ, a, b string) (as, bs []trace.Series, err error) {
+	la, err := ag.resolveMembers(group, typ, a)
+	if err != nil {
+		return nil, nil, err
+	}
+	lb, err := ag.resolveMembers(group, typ, b)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Both lists are subsequences of the group's leaves, so a merge walk
+	// over leaf positions pairs them.
+	for i, j := 0, 0; i < len(la.pos) && j < len(lb.pos); {
+		switch {
+		case la.pos[i] < lb.pos[j]:
+			i++
+		case la.pos[i] > lb.pos[j]:
+			j++
+		default:
+			as = append(as, la.tls[i])
+			bs = append(bs, lb.tls[j])
+			i++
+			j++
+		}
+	}
+	return as, bs, nil
 }
 
 // TypesUnder returns the sorted leaf resource types under a group,
@@ -258,42 +292,63 @@ func (ag *Aggregator) LeafMeans(group, typ, metric string, s TimeSlice) ([]strin
 
 // Stats computes the spatial aggregation of a metric over a group for the
 // slice. Only leaves of the given type carrying the metric participate
-// (typ == "" accepts all). Results are cached per (query, slice), so a
-// repeated query — within one frame or when scrubbing revisits a slice —
-// costs two map operations.
+// (typ == "" accepts all). It is StatsOver on the memoized member series.
 func (ag *Aggregator) Stats(group, typ, metric string, s TimeSlice) (Stats, error) {
-	key := statsKey{memberKey{group, typ, metric}, s}
-	ag.mu.RLock()
-	st, ok := ag.stats[key]
-	ag.mu.RUnlock()
-	if ok {
-		obsStatsHits.Inc()
-		return st, nil
-	}
-	obsStatsMisses.Inc()
-
 	ml, err := ag.resolveMembers(group, typ, metric)
 	if err != nil {
 		return Stats{}, err
 	}
-	buf := scratchPool.Get().(*[]float64)
-	means := (*buf)[:0]
-	for _, tl := range ml.tls {
-		_, mean := TimeAggregate(tl, s)
-		means = append(means, mean)
+	return StatsOver(ml.tls, s), nil
+}
+
+// smallMembers is the member count StatsOver evaluates in a stack buffer;
+// larger groups borrow a pooled one.
+const smallMembers = 16
+
+// StatsOver is Equation 1 over resolved member series: each member's
+// time mean over the slice (TimeAggregate), summarised in member order.
+// It is a pure function of its arguments, so disjoint member sets can be
+// evaluated concurrently and the result never depends on what was
+// evaluated before.
+func StatsOver(series []trace.Series, s TimeSlice) Stats {
+	if len(series) <= smallMembers {
+		var small [smallMembers]float64
+		st, _ := statsInto(small[:0], series, s)
+		return st
 	}
-	st = Summarise(means)
+	buf := scratchPool.Get().(*[]float64)
+	st, means := statsInto((*buf)[:0], series, s)
 	*buf = means
 	scratchPool.Put(buf)
+	return st
+}
 
-	ag.mu.Lock()
-	if len(ag.stats) >= maxStatsEntries {
-		clear(ag.stats) // wholesale flush keeps the cache bounded
-		obsStatsFlushes.Inc()
+// statsInto is StatsOver with the member means appended to dst, which
+// it returns (reordered by the median selection).
+func statsInto(dst []float64, series []trace.Series, s TimeSlice) (Stats, []float64) {
+	for _, tl := range series {
+		_, mean := TimeAggregate(tl, s)
+		dst = append(dst, mean)
 	}
-	ag.stats[key] = st
-	ag.mu.Unlock()
-	return st, nil
+	return summariseInPlace(dst), dst
+}
+
+// MaxRatioOver returns the highest member ratio b-mean / a-mean over the
+// slice for paired member series (MemberPairs), skipping members whose
+// a-mean is not positive; 0 when there is none.
+func MaxRatioOver(as, bs []trace.Series, s TimeSlice) float64 {
+	var max float64
+	for i, a := range as {
+		_, aMean := TimeAggregate(a, s)
+		if aMean <= 0 {
+			continue
+		}
+		_, bMean := TimeAggregate(bs[i], s)
+		if u := bMean / aMean; u > max {
+			max = u
+		}
+	}
+	return max
 }
 
 // Sum is shorthand for Stats(...).Sum: the group's aggregated value.
@@ -330,15 +385,21 @@ func (ag *Aggregator) Utilization(group, typ, usageMetric, capacityMetric string
 // whole window, 0 when all were down throughout, and the time-weighted
 // fraction in between (a degraded member contributes its degrade
 // factor). Traces recorded without fault injection carry no
-// availability metric; such groups report fully available. Results ride
-// the Stats cache, so the per-frame cost is two map operations.
+// availability metric; such groups report fully available.
 func (ag *Aggregator) Availability(group, typ string, s TimeSlice) (float64, error) {
 	st, err := ag.Stats(group, typ, trace.MetricAvailability, s)
 	if err != nil {
 		return 0, err
 	}
+	return AvailabilityOf(st), nil
+}
+
+// AvailabilityOf maps the Stats of the availability metric to a group's
+// availability: the clamped member mean, or 1 when no member carries the
+// metric.
+func AvailabilityOf(st Stats) float64 {
 	if st.Count == 0 {
-		return 1, nil
+		return 1
 	}
 	a := st.Mean
 	if a < 0 {
@@ -346,7 +407,7 @@ func (ag *Aggregator) Availability(group, typ string, s TimeSlice) (float64, err
 	} else if a > 1 {
 		a = 1
 	}
-	return a, nil
+	return a
 }
 
 // MaxMemberRatio returns the highest member utilization (fill-metric mean
@@ -354,45 +415,35 @@ func (ag *Aggregator) Availability(group, typ string, s TimeSlice) (float64, err
 // aggregation of vizgraph's FillMaxRatio. Members carrying only one of
 // the two metrics contribute nothing.
 func (ag *Aggregator) MaxMemberRatio(group, typ, fillMetric, sizeMetric string, s TimeSlice) (float64, error) {
-	sizes, err := ag.resolveMembers(group, typ, sizeMetric)
+	sizes, fills, err := ag.MemberPairs(group, typ, sizeMetric, fillMetric)
 	if err != nil {
 		return 0, err
 	}
-	fills, err := ag.resolveMembers(group, typ, fillMetric)
-	if err != nil {
-		return 0, err
-	}
-	// Both lists follow declaration order, so a merge walk pairs them
-	// without any allocation.
-	var max float64
-	j := 0
-	for i, name := range sizes.names {
-		for j < len(fills.names) && fills.names[j] != name {
-			j++
-		}
-		if j == len(fills.names) {
-			break
-		}
-		_, sMean := TimeAggregate(sizes.tls[i], s)
-		if sMean <= 0 {
-			continue
-		}
-		_, fMean := TimeAggregate(fills.tls[j], s)
-		if u := fMean / sMean; u > max {
-			max = u
-		}
-	}
-	return max, nil
+	return MaxRatioOver(sizes, fills, s), nil
 }
 
-// scratchPool recycles the float buffers of Stats and Summarise so the
-// per-frame aggregation loop stays allocation-free.
+// scratchPool recycles the float buffers of StatsOver and Summarise so
+// the per-frame aggregation loop stays allocation-free.
 var scratchPool = sync.Pool{New: func() any { s := make([]float64, 0, 64); return &s }}
 
 // Summarise computes the Stats of a sample of member values. The input is
 // not modified; the median comes from an expected-O(n) quickselect over a
 // pooled scratch copy instead of a full sort.
 func Summarise(values []float64) Stats {
+	if len(values) == 0 {
+		return Stats{}
+	}
+	buf := scratchPool.Get().(*[]float64)
+	scratch := append((*buf)[:0], values...)
+	st := summariseInPlace(scratch)
+	*buf = scratch
+	scratchPool.Put(buf)
+	return st
+}
+
+// summariseInPlace is Summarise over a sample it may reorder: the moments
+// are taken in input order first, then the median selection permutes it.
+func summariseInPlace(values []float64) Stats {
 	st := Stats{Count: len(values)}
 	if st.Count == 0 {
 		return st
@@ -415,12 +466,7 @@ func Summarise(values []float64) Stats {
 		ss += d * d
 	}
 	st.Variance = ss / float64(st.Count)
-
-	buf := scratchPool.Get().(*[]float64)
-	scratch := append((*buf)[:0], values...)
-	st.Median = medianSelect(scratch)
-	*buf = scratch
-	scratchPool.Put(buf)
+	st.Median = medianSelect(values)
 	return st
 }
 

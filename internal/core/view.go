@@ -52,6 +52,7 @@ type View struct {
 	cut     *aggregation.Cut
 	mapping vizgraph.Mapping
 	slice   aggregation.TimeSlice
+	window  aggregation.TimeSlice // observation window at open, see SetTimeSlice
 	lay     *layout.Layout
 
 	graph  *vizgraph.Graph
@@ -137,6 +138,7 @@ func NewViewOf(src aggregation.Source) (*View, error) {
 		cut:     aggregation.NewLeafCut(ag.Tree()),
 		mapping: vizgraph.DefaultMapping(),
 		slice:   aggregation.TimeSlice{Start: start, End: end},
+		window:  aggregation.TimeSlice{Start: start, End: end},
 		lay:     layout.New(layout.DefaultParams()),
 		dirty:   true,
 	}
@@ -173,12 +175,29 @@ func (v *View) Mapping() *vizgraph.Mapping { return &v.mapping }
 // TimeSlice returns the current temporal aggregation window.
 func (v *View) TimeSlice() aggregation.TimeSlice { return v.slice }
 
+// maxSliceReach bounds how far a time slice may lie from the trace's
+// observation window, in window lengths (at least one second each).
+// Finite bounds alone do not keep Equation 1 finite: a slice reaching
+// 1e308 s integrates any positive rate to ±Inf, which no view can draw
+// or serve. 2^40 lengths is beyond any analysis yet leaves the integrals
+// of any plausible metric — value × time — far from overflow.
+const maxSliceReach = 1 << 40
+
 // SetTimeSlice selects the temporal neighbourhood Δ. Node identities are
 // unaffected, so the layout keeps every position: only sizes and fills
-// change.
+// change. The bounds and the width must be finite, the slice must not be
+// empty, and it must lie within maxSliceReach window lengths of the
+// observation window the view opened on.
 func (v *View) SetTimeSlice(start, end float64) error {
+	if !finite(start) || !finite(end) || !finite(end-start) {
+		return fmt.Errorf("core: non-finite time slice [%g, %g]", start, end)
+	}
 	if end <= start {
 		return fmt.Errorf("core: empty time slice [%g, %g]", start, end)
+	}
+	ws, we := v.window.Start, v.window.End
+	if reach := maxSliceReach * math.Max(we-ws, 1); start < ws-reach || end > we+reach {
+		return fmt.Errorf("core: time slice [%g, %g] lies more than 2^40 window lengths from the trace window [%g, %g]", start, end, ws, we)
 	}
 	v.slice = aggregation.TimeSlice{Start: start, End: end}
 	v.dirty = true
@@ -187,18 +206,21 @@ func (v *View) SetTimeSlice(start, end float64) error {
 }
 
 // ShiftTimeSlice translates the slice by dt — the animation primitive of
-// Figure 9 ("the ability to animate through time a given view").
-func (v *View) ShiftTimeSlice(dt float64) {
-	v.slice.Start += dt
-	v.slice.End += dt
-	v.dirty = true
-	v.touch()
+// Figure 9 ("the ability to animate through time a given view"). A shift
+// whose result SetTimeSlice would reject (a bound out of reach, or a
+// translation so large the width rounds away) is an error and leaves the
+// slice unchanged.
+func (v *View) ShiftTimeSlice(dt float64) error {
+	return v.SetTimeSlice(v.slice.Start+dt, v.slice.End+dt)
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // RefreshSource tells the view its underlying data changed — the live
 // streaming publisher calls it each tick after appending to the trace.
-// It flushes the aggregation caches (their memoized slice stats are
-// stale), marks the visual graph dirty and bumps the generation so
+// It invalidates the aggregator (appended series may carry metrics the
+// memoized member lists have not seen; the new epoch recompiles the
+// build plan), marks the visual graph dirty and bumps the generation so
 // cached renderings expire. The caller must hold whatever lock
 // serialises view access (the server's, when shared).
 func (v *View) RefreshSource() {

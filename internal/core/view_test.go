@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"viva/internal/layout"
@@ -96,12 +97,51 @@ func TestSetTimeSliceKeepsPositions(t *testing.T) {
 func TestShiftTimeSlice(t *testing.T) {
 	v := newView(t)
 	s0 := v.TimeSlice()
-	v.ShiftTimeSlice(1.5)
+	if err := v.ShiftTimeSlice(1.5); err != nil {
+		t.Fatal(err)
+	}
 	s1 := v.TimeSlice()
 	if s1.Start != s0.Start+1.5 || s1.End != s0.End+1.5 {
 		t.Errorf("shift wrong: %+v -> %+v", s0, s1)
 	}
 	v.MustGraph() // must rebuild without error
+}
+
+// TestTimeSliceBounds pins the slice bounds: a non-finite start, end or
+// width is an error, and so is a finite slice out of reach of the trace
+// window (its integrals would overflow), or a shift that would produce
+// either. A rejected mutation leaves the slice and the generation alone.
+func TestTimeSliceBounds(t *testing.T) {
+	v := newView(t)
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range [][2]float64{{0, inf}, {-inf, 1}, {nan, 1}, {0, nan}, {-1.7e308, 1.7e308}, {0, 1e308}, {-1e300, 0}} {
+		if err := v.SetTimeSlice(c[0], c[1]); err == nil {
+			t.Errorf("SetTimeSlice(%g, %g) accepted", c[0], c[1])
+		}
+	}
+	// Far outside the 2.5 s window, but within reach.
+	if err := v.SetTimeSlice(-1e9, 1e9); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.SetTimeSlice(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	s0, gen := v.TimeSlice(), v.Generation()
+	for _, dt := range []float64{1.7e308, 1e300, inf, nan} {
+		if err := v.ShiftTimeSlice(dt); err == nil {
+			t.Errorf("ShiftTimeSlice(%g) accepted: %+v", dt, v.TimeSlice())
+		}
+	}
+	if v.TimeSlice() != s0 || v.Generation() != gen {
+		t.Errorf("rejected shifts moved the view: %+v gen %d, want %+v gen %d", v.TimeSlice(), v.Generation(), s0, gen)
+	}
+	if err := v.ShiftTimeSlice(1e6); err != nil {
+		t.Fatal(err)
+	}
+	if v.TimeSlice() == s0 || v.Generation() == gen {
+		t.Error("accepted shift did not move the slice")
+	}
+	v.MustGraph()
 }
 
 func TestAggregateTransition(t *testing.T) {

@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"viva/internal/obs"
 )
@@ -132,8 +134,9 @@ type Layout struct {
 	// Reused per-step scratch state (see quadtree.go and the spring
 	// adjacency below): none of it escapes a Step call.
 	arena    quadArena
-	stacks   [][]int32 // one traversal stack per worker
-	adj      [][]int32 // body idx -> springs touching it, ±(spring index+1)
+	stacks   [][]int32  // one traversal stack per worker
+	adj      [][]int32  // body idx -> springs touching it, ±(spring index+1)
+	ends     [][2]int32 // spring index -> body indices of its A and B ends
 	adjDirty bool
 	// stiff[i] sums the strengths of body i's incident springs (rebuilt
 	// with the adjacency). The integrator uses it to clamp the local time
@@ -142,6 +145,9 @@ type Layout struct {
 	// link with hundreds of attached host links, e.g.) — see integrate.
 	stiff []float64
 	all   []int32 // identity index list, see allIndices
+	// claim is the next unclaimed position of the active list during a
+	// parallel pass (see forBodies); passes never overlap.
+	claim atomic.Int64
 }
 
 // New creates an empty layout.
@@ -406,12 +412,21 @@ func (l *Layout) workersFor(n int) int {
 	return p
 }
 
-// forBodies runs pass over contiguous shards of the active list, one
-// shard per worker, and guarantees l.stacks[w] exists for each worker.
-// With a single worker pass runs inline on the caller's goroutine. pass
-// must only write state owned by its own bodies (or its own worker slot),
-// which is what makes the fan-out race-free. It is a method expression
-// rather than a closure so the serial step allocates nothing.
+// claimChunk is how many active bodies a worker of a parallel pass
+// claims at a time.
+const claimChunk = 64
+
+// forBodies runs pass over the active list and guarantees l.stacks[w]
+// exists for each worker. With a single worker pass runs inline on the
+// caller's goroutine over the whole list; otherwise the workers claim
+// fixed claimChunk-body ranges off an atomic counter until the list is
+// exhausted, so a worker that finishes early takes more of the work
+// instead of idling. pass must only write state owned by its own bodies
+// (or its own worker slot), which is what makes the fan-out race-free —
+// and since a body's force depends only on the positions read, never on
+// which worker or range computed it, the result is bit-identical however
+// the ranges fall. pass is a method expression rather than a closure so
+// the serial step allocates nothing.
 func (l *Layout) forBodies(active []int32, pass func(l *Layout, active []int32, worker, lo, hi int)) {
 	n := len(active)
 	w := l.workersFor(n)
@@ -422,12 +437,19 @@ func (l *Layout) forBodies(active []int32, pass func(l *Layout, active []int32, 
 		pass(l, active, 0, 0, n)
 		return
 	}
+	l.claim.Store(0)
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func(k int) {
 			defer wg.Done()
-			pass(l, active, k, k*n/w, (k+1)*n/w)
+			for {
+				lo := int(l.claim.Add(claimChunk)) - claimChunk
+				if lo >= n {
+					return
+				}
+				pass(l, active, k, lo, min(lo+claimChunk, n))
+			}
 		}(k)
 	}
 	wg.Wait()
@@ -461,19 +483,15 @@ func coulomb(a, b *Body, c float64) Point {
 	return d.Scale(mag / dist)
 }
 
-// springForce returns the Hooke force on spring s's A endpoint (B receives
-// the exact negation). Zero for degenerate springs.
-func (l *Layout) springForce(s *Spring, k, rest float64) (Point, bool) {
-	a, b := l.index[s.A], l.index[s.B]
-	if a == nil || b == nil {
-		return Point{}, false
-	}
+// springForce returns the Hooke force of a spring of the given strength
+// on its end a (end b receives the exact negation). Zero for degenerate
+// springs.
+func springForce(a, b *Body, strength, k, rest float64) (Point, bool) {
 	d := b.Pos.Sub(a.Pos)
 	dist := d.Norm()
 	if dist < 1e-6 {
 		return Point{}, false
 	}
-	strength := s.Strength
 	if strength <= 0 {
 		strength = 1
 	}
@@ -483,8 +501,10 @@ func (l *Layout) springForce(s *Spring, k, rest float64) (Point, bool) {
 
 // buildAdjacency rebuilds the spring→body adjacency: for each body, the
 // springs touching it in ascending spring order, encoded ±(index+1) for
-// the A/B endpoint. Rebuilt only when SetSprings/RemoveBody(-ies) changed
-// the edge set or bodies were added since the last build.
+// the A/B endpoint; and for each spring, its end bodies' indices, so the
+// spring pass never looks a body up by ID. Rebuilt only when
+// SetSprings/RemoveBody(-ies) changed the edge set or bodies were added
+// since the last build.
 func (l *Layout) buildAdjacency() {
 	for i := range l.adj {
 		l.adj[i] = l.adj[i][:0]
@@ -500,12 +520,14 @@ func (l *Layout) buildAdjacency() {
 	for i := range l.stiff {
 		l.stiff[i] = 0
 	}
+	l.ends = slices.Grow(l.ends[:0], len(l.springs))[:len(l.springs)]
 	for si := range l.springs {
 		s := &l.springs[si]
 		a, b := l.index[s.A], l.index[s.B]
 		if a == nil || b == nil {
 			continue
 		}
+		l.ends[si] = [2]int32{int32(a.idx), int32(b.idx)}
 		l.adj[a.idx] = append(l.adj[a.idx], int32(si+1))
 		l.adj[b.idx] = append(l.adj[b.idx], int32(-(si + 1)))
 		w := s.Strength
@@ -544,7 +566,8 @@ func (l *Layout) springShard(active []int32, _, lo, hi int) {
 			if si < 0 {
 				si = -si
 			}
-			sf, ok := l.springForce(&l.springs[si-1], k, rest)
+			ends := l.ends[si-1]
+			sf, ok := springForce(l.bodies[ends[0]], l.bodies[ends[1]], l.springs[si-1].Strength, k, rest)
 			if !ok {
 				continue
 			}

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"testing"
 )
 
@@ -91,4 +93,56 @@ func checkFinite(t *testing.T, v any) {
 			checkFinite(t, e)
 		}
 	}
+}
+
+// FuzzSliceMutation drives /api/slice and /api/shift with arbitrary
+// floats and arbitrary raw bodies. Every mutation must answer 200 or 400,
+// and whatever was accepted, the /api/graph that follows must be 200 with
+// only finite numbers. The seeds cover the overflow paths: a shift by
+// 1.7e308 taken twice (enough to overflow the bounds), a slice whose
+// width overflows, and finite slices far enough out that their integrals
+// would overflow.
+func FuzzSliceMutation(f *testing.F) {
+	f.Add(0.0, 5.0, 1.0, []byte(`{"start":1,"end":2}`), []byte(`{"dt":0.5}`))
+	f.Add(0.0, 10.0, 1.7e308, []byte(`{}`), []byte(`{"dt":1.7e308}`))
+	f.Add(-1.7e308, 1.7e308, 0.0, []byte(`{"start":-1.7e308,"end":1.7e308}`), []byte(`{}`))
+	f.Add(0.0, 1e308, 0.0, []byte(`{"start":0,"end":1e308}`), []byte(`{"dt":-1e308}`))
+	f.Add(-1e300, 1e300, 1e300, []byte(`{"start":-1e300,"end":1e300}`), []byte(`{"dt":1e300}`))
+	f.Add(5.0, 5.0, -3.0, []byte(`{"start":5,"end":5}`), []byte(`{"dt":-1e20}`))
+	f.Add(2.0, 1.0, 0.0, []byte(`{"start":"a"}`), []byte(`{"dt":1e400}`))
+	f.Add(0.0, 1.0, 0.0, []byte(`{"start":NaN,"end":Infinity}`), []byte(`{"dt":null}`))
+	f.Add(0.0, 1.0, 0.0, []byte(``), []byte(`{"dt":1,"extra":2}`))
+	f.Add(1e-300, 2e-300, 1e-310, []byte(`{"start":1e-300,"end":2e-300}`), []byte(`{"dt":5e-324}`))
+
+	f.Fuzz(func(t *testing.T, start, end, dt float64, rawSlice, rawShift []byte) {
+		h := New(testView(t)).Handler()
+		post := func(path string, body []byte) {
+			t.Helper()
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+				t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body.String())
+			}
+		}
+		num := func(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
+		post("/api/slice", []byte(`{"start":`+num(start)+`,"end":`+num(end)+`}`))
+		post("/api/shift", []byte(`{"dt":`+num(dt)+`}`))
+		post("/api/shift", []byte(`{"dt":`+num(dt)+`}`))
+		post("/api/slice", rawSlice)
+		post("/api/shift", rawShift)
+		post("/api/shift", rawShift)
+
+		req := httptest.NewRequest(http.MethodGet, "/api/graph?steps=1", nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("graph after mutations: status %d: %s", rec.Code, rec.Body.String())
+		}
+		var body any
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("200 with undecodable body: %v", err)
+		}
+		checkFinite(t, body)
+	})
 }

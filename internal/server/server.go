@@ -657,7 +657,10 @@ func (s *Server) handleShift(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.view.ShiftTimeSlice(req.Dt)
+	if err := s.view.ShiftTimeSlice(req.Dt); err != nil {
+		writeErr(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 

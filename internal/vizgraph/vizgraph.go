@@ -10,9 +10,7 @@ package vizgraph
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"viva/internal/aggregation"
 	"viva/internal/obs"
@@ -202,70 +200,43 @@ type Graph struct {
 	Edges []Edge
 	Slice aggregation.TimeSlice
 
-	index map[string]*Node
+	index map[string]int32 // node ID → position in Nodes, shared with the plan
 }
 
 // Node returns a node by ID, or nil.
-func (g *Graph) Node(id string) *Node { return g.index[id] }
+func (g *Graph) Node(id string) *Node {
+	if i, ok := g.index[id]; ok {
+		return g.Nodes[i]
+	}
+	return nil
+}
 
 // NodeID builds the canonical node identifier of a (group, type) pair.
 func NodeID(group, typ string) string { return group + "/" + typ }
 
 // Options tunes the graph construction.
 type Options struct {
-	// Parallelism is the number of worker goroutines sharding the cut's
-	// groups: 0 picks GOMAXPROCS, 1 forces the serial path. It mirrors the
+	// Parallelism is the number of worker goroutines sharding the graph's
+	// nodes: 0 picks GOMAXPROCS, 1 forces the serial path. It mirrors the
 	// layout engine's knob and shares its determinism contract: the output
-	// is byte-identical at any worker count, because each group's nodes are
-	// computed independently (a cut partitions the entities, so workers
-	// touch disjoint timelines) and reassembled in cut order.
+	// is byte-identical at any worker count, because each node is a pure
+	// function of its own member series and the slice, written to its own
+	// slot in cut order.
 	Parallelism int
-	// Cache, when non-nil, carries slice-invariant intermediate results
-	// between successive builds of one view. Pass the same pointer on
-	// every frame; the cache checks its own validity (cut generation and
-	// drawn-type set), so any caller mistake costs recomputation, never
-	// wrong output.
+	// Cache, when non-nil, carries the slice-invariant build plan between
+	// successive builds of one view. Pass the same pointer on every frame;
+	// the cache checks its own validity (cut generation, aggregator epoch
+	// and the mapping's metrics), so any caller mistake costs
+	// recomputation, never wrong output.
 	Cache *BuildCache
 }
 
-// BuildCache holds the slice-invariant part of a build: the projected
-// edge bundles, which depend on the cut and the set of mapped types but
-// not on the time slice — so a scrubbing analyst pays the per-edge owner
-// resolution once per cut, not once per frame.
+// BuildCache holds the slice-invariant part of a build: the compiled
+// plan of the cut (node identities and resolved member series) and the
+// projected edge bundles, so a scrubbing analyst pays member resolution
+// and per-edge owner resolution once per cut, not once per frame.
 type BuildCache struct {
-	valid   bool
-	gen     uint64
-	typeSig string
-	edges   []Edge
-}
-
-// typeSignature fingerprints the mapping's drawn-type set (which decides
-// node existence, hence edge endpoints).
-func typeSignature(m Mapping) string {
-	sig := ""
-	for _, tm := range m.Types {
-		sig += tm.Type + "\x00"
-	}
-	return sig
-}
-
-// parallelGrain is the minimum number of groups per worker; below it the
-// goroutine hand-off costs more than the aggregation it parallelises.
-const parallelGrain = 16
-
-// workerCount resolves Parallelism against the group count.
-func (o Options) workerCount(groups int) int {
-	w := o.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if max := groups / parallelGrain; w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	plan *plan
 }
 
 // Build assembles the visual graph: for every active group of the cut and
@@ -277,195 +248,63 @@ func Build(ag *aggregation.Aggregator, cut *aggregation.Cut, m Mapping, slice ag
 	return BuildOpts(ag, cut, m, slice, Options{})
 }
 
-// BuildOpts is Build with explicit options.
+// BuildOpts is Build with explicit options. Every build evaluates a
+// plan: the cached one when it is still current, otherwise a freshly
+// compiled one (kept in the cache when there is one).
 func BuildOpts(ag *aggregation.Aggregator, cut *aggregation.Cut, m Mapping, slice aggregation.TimeSlice, opts Options) (*Graph, error) {
 	if m.MaxPixel <= 0 {
 		return nil, fmt.Errorf("vizgraph: mapping needs a positive MaxPixel")
 	}
-	g := &Graph{Slice: slice, index: make(map[string]*Node)}
-	groups := cut.Groups()
 	obsBuilds.Inc()
 	aggSpan := obs.StartSpan(obs.StageAggregate)
-
-	// Per-group result slots keep the output order equal to cut order
-	// whatever the worker count; the first error in group order wins.
-	perGroup := make([][]*Node, len(groups))
-	errs := make([]error, len(groups))
-	if w := opts.workerCount(len(groups)); w == 1 {
-		for gi, group := range groups {
-			perGroup[gi], errs[gi] = buildGroup(ag, group, m, slice)
-		}
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(w)
-		for k := 0; k < w; k++ {
-			lo, hi := k*len(groups)/w, (k+1)*len(groups)/w
-			go func(lo, hi int) {
-				defer wg.Done()
-				for gi := lo; gi < hi; gi++ {
-					perGroup[gi], errs[gi] = buildGroup(ag, groups[gi], m, slice)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
+	var old *plan
+	if opts.Cache != nil {
+		old = opts.Cache.plan
 	}
+	p := old
+	if !p.matches(ag, cut, m) {
+		var err error
+		if p, err = compilePlan(ag, cut, m, old); err != nil {
+			aggSpan.End()
+			return nil, err
+		}
+		if opts.Cache != nil {
+			opts.Cache.plan = p
+		}
+	}
+	nodes := p.eval(slice, opts.Parallelism)
 	aggSpan.End()
 	buildSpan := obs.StartSpan(obs.StageBuild)
 	defer buildSpan.End()
-	for gi, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		for _, node := range perGroup[gi] {
-			g.Nodes = append(g.Nodes, node)
-			g.index[node.ID] = node
-		}
-	}
-
-	g.scaleSizes(m)
-	if c := opts.Cache; c != nil && c.valid && c.gen == cut.Generation() && c.typeSig == typeSignature(m) {
-		obsEdgeCacheHits.Inc()
-		g.Edges = append([]Edge(nil), c.edges...)
-	} else {
-		obsEdgeCacheMisses.Inc()
-		g.projectEdges(ag, cut)
-		if c != nil {
-			*c = BuildCache{
-				valid:   true,
-				gen:     cut.Generation(),
-				typeSig: typeSignature(m),
-				edges:   append([]Edge(nil), g.Edges...),
-			}
-		}
-	}
+	g := &Graph{Nodes: nodes, Slice: slice, index: p.index}
+	p.scaleSizes(nodes, m)
+	g.Edges = append([]Edge(nil), p.edges...)
 	obsNodes.Set(float64(len(g.Nodes)))
 	obsEdges.Set(float64(len(g.Edges)))
 	return g, nil
 }
 
-// buildGroup assembles the nodes of one active group, one per mapped
-// resource type present under it. It only calls the aggregator's
-// concurrency-safe query methods, so group builds run in parallel.
-func buildGroup(ag *aggregation.Aggregator, group string, m Mapping, slice aggregation.TimeSlice) ([]*Node, error) {
-	tree := ag.Tree()
-	types, err := ag.TypesUnder(group)
-	if err != nil {
-		return nil, err
-	}
-	groupIsLeaf := tree.Node(group).IsEntity()
-	var nodes []*Node
-	for _, typ := range types {
-		tm := m.TypeMapping(typ)
-		if tm == nil {
-			continue // unmapped types are not drawn
-		}
-		node := &Node{
-			ID:    NodeID(group, typ),
-			Group: group,
-			Type:  typ,
-			Shape: tm.Shape,
-			Color: tm.Color,
-		}
-		if groupIsLeaf {
-			node.Label = group
-		} else {
-			node.Label = fmt.Sprintf("%s[%s]", group, typ)
-		}
-		avail, err := ag.Availability(group, typ, slice)
-		if err != nil {
-			return nil, err
-		}
-		node.Avail = avail
-		if tm.SizeMetric != "" {
-			st, err := ag.Stats(group, typ, tm.SizeMetric, slice)
-			if err != nil {
-				return nil, err
-			}
-			node.SizeStats = st
-			node.Value = st.Sum
-			node.Count = st.Count
-		}
-		if node.Count == 0 {
-			// Count leaves of the type even without the size metric
-			// (structural nodes).
-			n, err := ag.TypeCount(group, typ)
-			if err != nil {
-				return nil, err
-			}
-			node.Count = n
-		}
-		if tm.FillMetric != "" && tm.SizeMetric != "" {
-			fillStats, err := ag.Stats(group, typ, tm.FillMetric, slice)
-			if err != nil {
-				return nil, err
-			}
-			node.FillStats = fillStats
-			if node.SizeStats.Sum > 0 {
-				switch tm.FillAggregation {
-				case FillMaxRatio:
-					u, err := ag.MaxMemberRatio(group, typ, tm.FillMetric, tm.SizeMetric, slice)
-					if err != nil {
-						return nil, err
-					}
-					node.Fill = u
-				default:
-					node.Fill = fillStats.Sum / node.SizeStats.Sum
-				}
-				if node.Fill < 0 {
-					node.Fill = 0
-				}
-				if node.Fill > 1 {
-					node.Fill = 1
-				}
-				for i, cat := range tm.SegmentCategories {
-					st, err := ag.Stats(group, typ, tm.FillMetric+":"+cat, slice)
-					if err != nil {
-						return nil, err
-					}
-					if st.Count == 0 || st.Sum <= 0 {
-						continue
-					}
-					frac := st.Sum / node.SizeStats.Sum
-					if frac > 1 {
-						frac = 1
-					}
-					node.Segments = append(node.Segments, Segment{
-						Category: cat,
-						Fraction: frac,
-						Color:    segmentPalette[i%len(segmentPalette)],
-					})
-				}
-			}
-		}
-		nodes = append(nodes, node)
-	}
-	return nodes, nil
-}
-
 // scaleSizes implements the independent per-type automatic scaling: the
 // largest size-metric value of each type within the current time slice
 // maps to MaxPixel (times the type's interactive scale factor).
-func (g *Graph) scaleSizes(m Mapping) {
-	maxByType := make(map[string]float64)
-	for _, n := range g.Nodes {
-		if n.Value > maxByType[n.Type] {
-			maxByType[n.Type] = n.Value
+func (p *plan) scaleSizes(nodes []*Node, m Mapping) {
+	maxByType := make([]float64, len(p.types))
+	for i, n := range nodes {
+		if tm := p.nodes[i].tm; n.Value > maxByType[tm] {
+			maxByType[tm] = n.Value
 		}
 	}
-	for _, n := range g.Nodes {
-		tm := m.TypeMapping(n.Type)
-		scale := 1.0
-		if tm != nil {
-			scale = tm.Scale
-		}
+	for i, n := range nodes {
+		ti := p.nodes[i].tm
+		tm := &m.Types[ti]
 		switch {
-		case tm != nil && tm.SizeMetric == "":
+		case tm.SizeMetric == "":
 			// Structural node: fixed small footprint.
-			n.Size = m.MaxPixel * 0.25 * scale
-		case maxByType[n.Type] <= 0:
+			n.Size = m.MaxPixel * 0.25 * tm.Scale
+		case maxByType[ti] <= 0:
 			n.Size = m.MinPixel
 		default:
-			n.Size = n.Value / maxByType[n.Type] * m.MaxPixel * scale
+			n.Size = n.Value / maxByType[ti] * m.MaxPixel * tm.Scale
 			if n.Size < m.MinPixel && n.Value > 0 {
 				n.Size = m.MinPixel
 			}
@@ -473,10 +312,11 @@ func (g *Graph) scaleSizes(m Mapping) {
 	}
 }
 
-// projectEdges maps the base topology edges onto (group, type) nodes. The
-// memoized owner index replaces the per-endpoint ancestor walks; interior
-// endpoints (not in the index) fall back to the walking Owner.
-func (g *Graph) projectEdges(ag *aggregation.Aggregator, cut *aggregation.Cut) {
+// projectEdges maps the base topology edges onto the plan's (group,
+// type) nodes. The memoized owner index replaces the per-endpoint
+// ancestor walks; interior endpoints (not in the index) fall back to the
+// walking Owner.
+func (p *plan) projectEdges(ag *aggregation.Aggregator, cut *aggregation.Cut) []Edge {
 	tree := ag.Tree()
 	owners := cut.OwnerIndex()
 	ownerOf := func(name string) string {
@@ -497,8 +337,11 @@ func (g *Graph) projectEdges(ag *aggregation.Aggregator, cut *aggregation.Cut) {
 		if ida == idb {
 			continue
 		}
-		if g.index[ida] == nil || g.index[idb] == nil {
+		if _, ok := p.index[ida]; !ok {
 			continue // endpoint type not drawn
+		}
+		if _, ok := p.index[idb]; !ok {
+			continue
 		}
 		if ida > idb {
 			ida, idb = idb, ida
@@ -515,7 +358,9 @@ func (g *Graph) projectEdges(ag *aggregation.Aggregator, cut *aggregation.Cut) {
 		}
 		return keys[i].b < keys[j].b
 	})
+	edges := make([]Edge, 0, len(keys))
 	for _, k := range keys {
-		g.Edges = append(g.Edges, Edge{From: k.a, To: k.b, Multiplicity: counts[k]})
+		edges = append(edges, Edge{From: k.a, To: k.b, Multiplicity: counts[k]})
 	}
+	return edges
 }
