@@ -454,7 +454,7 @@ func BenchmarkLayoutFlatConverge(b *testing.B) {
 				b.StopTimer()
 				l := buildLayout(b, n)
 				b.StartTimer()
-				steps = l.Run(layout.BarnesHut, flatConvergeCap, eps)
+				steps, _ = l.Run(layout.BarnesHut, flatConvergeCap, eps)
 				if steps >= flatConvergeCap {
 					b.Fatalf("flat layout stuck after %d steps", steps)
 				}

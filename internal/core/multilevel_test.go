@@ -135,7 +135,7 @@ func TestStabilizeSmallViewMatchesRun(t *testing.T) {
 	}
 	const maxSteps, eps = 2000, 0.05
 	got := a.Stabilize(maxSteps, eps)
-	want := b.Layout().Run(layout.BarnesHut, maxSteps, eps)
+	want, _ := b.Layout().Run(layout.BarnesHut, maxSteps, eps)
 	if got != want {
 		t.Errorf("Stabilize took %d steps, Run %d", got, want)
 	}

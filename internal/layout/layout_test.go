@@ -221,7 +221,7 @@ func TestConvergence(t *testing.T) {
 	if err := l.SetSprings(springs); err != nil {
 		t.Fatal(err)
 	}
-	steps := l.Run(Naive, 5000, 1e-5)
+	steps, _ := l.Run(Naive, 5000, 1e-5)
 	if steps >= 5000 {
 		t.Errorf("layout did not converge in %d steps (energy %g)", steps, l.KineticEnergy())
 	}

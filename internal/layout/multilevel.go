@@ -89,8 +89,8 @@ type MultilevelParams struct {
 	// 800) — the only budget paid at full graph size. A well-interpolated
 	// start converges in a fraction of it; the headroom is for stragglers.
 	FinalMaxSteps int
-	// Eps is the per-step max-displacement threshold below which a level
-	// counts as converged. Default 0.5.
+	// Eps is the residual (render px, see Layout.Residual) below which a
+	// level counts as converged. Default 0.5.
 	Eps float64
 	// JitterFrac scatters the members of one super-body around its
 	// converged position, as a fraction of SpringLength (default 0.35).
@@ -156,7 +156,7 @@ type LevelStats struct {
 type MultilevelStats struct {
 	Levels     []LevelStats
 	TotalSteps int
-	// Residual is the finest level's last-step max displacement.
+	// Residual is the finest level's last-step Residual.
 	Residual float64
 	// Converged reports whether the finest level reached Eps within its
 	// budget.
@@ -219,13 +219,18 @@ func (l *Layout) RunMultilevel(mp MultilevelParams) MultilevelStats {
 		obsMLLevel.Set(float64(k))
 		// Coarse levels only seed the next finer one, so their residual
 		// target relaxes with the coarsening ratio: a super-body of m
-		// members may wander ~√m farther without disturbing the final
-		// picture — the refinement below it works at that scale anyway.
+		// members may wander ~√m render px farther without disturbing
+		// the final picture — the refinement below it works at that scale
+		// anyway. Each level measures its Residual against its own
+		// bounding box. Without the relaxation the coarse levels spend
+		// their whole budgets chasing a precision the interpolation
+		// jitter throws away, and the finest level needs more steps, not
+		// fewer.
 		eps := mp.Eps
 		if k > 0 {
 			eps = mp.Eps * math.Sqrt(float64(l.Len())/float64(lev.Len()))
 		}
-		steps, residual := lev.run(BarnesHut, budget, eps)
+		steps, residual := lev.Run(BarnesHut, budget, eps)
 		stepC, resG := mlLevelObs(k)
 		stepC.Add(uint64(steps))
 		resG.Set(residual)

@@ -8,10 +8,7 @@
 // faithful Grid'5000 with 2170 hosts (Section 5.2).
 package platform
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Host is a computing resource.
 type Host struct {
@@ -255,12 +252,6 @@ func (p *Platform) HostsOfCluster(cluster string) []string {
 // HostLink returns the private link name of a host.
 func (p *Platform) HostLink(host string) string { return p.hostLink[host] }
 
-// ClusterUplink returns the uplink name of a cluster.
-func (p *Platform) ClusterUplink(cluster string) string { return p.clusterUplink[cluster] }
-
-// SiteUplink returns the uplink name of a site.
-func (p *Platform) SiteUplink(site string) string { return p.siteUplink[site] }
-
 // Route returns the ordered links a flow from src to dst traverses:
 //
 //	same host:            (no links)
@@ -389,23 +380,5 @@ func (p *Platform) EdgeList() []Edge {
 				Edge{p.siteUplink[zn], p.CoreName()})
 		}
 	}
-	return out
-}
-
-// TotalPower returns the aggregate compute power of all hosts.
-func (p *Platform) TotalPower() float64 {
-	var sum float64
-	for _, h := range p.hosts {
-		sum += h.Power
-	}
-	return sum
-}
-
-// SortedHostNames returns all host names sorted lexicographically. Useful
-// for deterministic iteration in tests.
-func (p *Platform) SortedHostNames() []string {
-	out := make([]string, len(p.hostOrder))
-	copy(out, p.hostOrder)
-	sort.Strings(out)
 	return out
 }

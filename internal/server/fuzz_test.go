@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -10,6 +12,9 @@ import (
 	"net/url"
 	"strconv"
 	"testing"
+	"time"
+
+	"viva/internal/stream"
 )
 
 // FuzzGraphQuery drives /api/graph's query parsing (steps, viewport,
@@ -144,5 +149,107 @@ func FuzzSliceMutation(f *testing.F) {
 			t.Fatalf("200 with undecodable body: %v", err)
 		}
 		checkFinite(t, body)
+	})
+}
+
+// resumeWindow and published shape the hub FuzzStreamResume resumes
+// from: deltas 1..published, the last resumeWindow of them in the resume
+// window, and a full snapshot at the delta just before that window.
+const (
+	resumeWindow = 4
+	published    = 8
+	fullSeq      = published - resumeWindow
+)
+
+// cancelingWriter cancels the request after the handler's second write
+// (the retry line, then the first frame or heartbeat), so each fuzzed
+// stream ends after exactly one read.
+type cancelingWriter struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+	writes int
+}
+
+func (w *cancelingWriter) Write(b []byte) (int, error) {
+	if w.writes++; w.writes == 2 {
+		w.cancel()
+	}
+	return w.ResponseRecorder.Write(b)
+}
+
+// FuzzStreamResume drives the SSE resume parse with arbitrary
+// Last-Event-ID headers and last_event_id query values: overflowing,
+// signed, padded, non-decimal. Against a live hub every request opens a
+// 200 event stream, and against a closed one it ends in a 503 with
+// Retry-After; never a panic (the recovery middleware would answer 500).
+// A value that parses as a sequence number inside the resume window
+// resumes right after it; anything else starts from the full snapshot.
+func FuzzStreamResume(f *testing.F) {
+	for _, id := range []string{"", "0", "3", "4", "7", "8", "9", "18446744073709551615",
+		"18446744073709551616", "99999999999999999999999", "-1", "+5", " 5", "5 ", "0x5",
+		"5e0", "05", "٥", "\x00"} {
+		f.Add(id, false)
+		f.Add(id, true)
+	}
+	live := stream.NewHub(0, 0, resumeWindow)
+	for seq := uint64(1); seq <= published; seq++ {
+		live.Publish(&stream.Snapshot{Seq: seq, Data: []byte("{}")})
+		if seq == fullSeq {
+			live.SetFull(&stream.Snapshot{Seq: seq, Full: true, Data: []byte("{}")})
+		}
+	}
+	closed := stream.NewHub(0, 0, 0)
+	closed.Close()
+	handler := func(h *stream.Hub) http.Handler {
+		s := New(testView(f))
+		s.SetStream(&stream.Stream{Hub: h})
+		// Long enough that a pending frame always wins the handler's
+		// select, short enough that a stream with nothing to send ends
+		// soon on its heartbeat.
+		s.HeartbeatInterval = 100 * time.Millisecond
+		return s.Handler()
+	}
+	liveH, closedH := handler(live), handler(closed)
+
+	f.Fuzz(func(t *testing.T, id string, viaQuery bool) {
+		serve := func(h http.Handler) *httptest.ResponseRecorder {
+			req := httptest.NewRequest(http.MethodGet, streamPath, nil)
+			if viaQuery {
+				req.URL.RawQuery = url.Values{"last_event_id": {id}}.Encode()
+			} else {
+				req.Header.Set("Last-Event-ID", id)
+			}
+			ctx, cancel := context.WithCancel(req.Context())
+			defer cancel()
+			w := &cancelingWriter{ResponseRecorder: httptest.NewRecorder(), cancel: cancel}
+			h.ServeHTTP(w, req.WithContext(ctx))
+			return w.ResponseRecorder
+		}
+
+		rec := serve(closedH)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("closed hub, id %q: status %d, Retry-After %q; want 503 with Retry-After",
+				id, rec.Code, rec.Header().Get("Retry-After"))
+		}
+
+		rec = serve(liveH)
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "text/event-stream" {
+			t.Fatalf("live hub, id %q: status %d, Content-Type %q; want a 200 event stream",
+				id, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		want := fmt.Sprintf("full %d", fullSeq)
+		if v, err := strconv.ParseUint(id, 10, 64); err == nil && v >= fullSeq && v <= published {
+			want = ""
+			if v < published {
+				want = fmt.Sprintf("delta %d", v+1)
+			}
+		}
+		got := ""
+		if ev, err := readEvent(bufio.NewReader(rec.Body)); err == nil {
+			got = ev.name + " " + ev.id
+		}
+		if got != want {
+			t.Fatalf("id %q: first event %q, want %q", id, got, want)
+		}
 	})
 }

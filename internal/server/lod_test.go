@@ -117,13 +117,8 @@ func TestGraphLODSplitsVisibleFromCoarse(t *testing.T) {
 func TestGraphLODBypassesCache(t *testing.T) {
 	srv := testServer(t)
 	// Settle and cache the full rendering.
+	settle(t, srv.URL)
 	var full graphJSON
-	for i := 0; i < 50; i++ {
-		getJSON(t, srv.URL+"/api/graph?steps=20", &full)
-		if full.Moving < settleEps {
-			break
-		}
-	}
 	getJSON(t, srv.URL+"/api/graph?steps=0", &full) // cache-priming hit
 	resp, err := http.Get(srv.URL + "/api/graph?steps=0")
 	if err != nil {

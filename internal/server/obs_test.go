@@ -118,20 +118,8 @@ func TestGraphCacheCounters(t *testing.T) {
 	srv := testServer(t)
 	hits0, notMod0, misses0 := obsCacheHits.Value(), obsCache304.Value(), obsCacheMisses.Value()
 
-	// The ETag appears once the layout settles and the payload is cached;
-	// keep stepping until it does.
-	var etag string
-	for i := 0; i < 200 && etag == ""; i++ {
-		resp, err := http.Get(srv.URL + "/api/graph?steps=50")
-		if err != nil {
-			t.Fatal(err)
-		}
-		etag = resp.Header.Get("ETag")
-		resp.Body.Close()
-	}
-	if etag == "" {
-		t.Fatal("layout never settled: no ETag on /api/graph responses")
-	}
+	// The ETag appears once the layout settles and the payload is cached.
+	etag := settle(t, srv.URL)
 	if got := obsCacheMisses.Value() - misses0; got < 1 {
 		t.Errorf("cache misses while settling = %d, want >= 1", got)
 	}

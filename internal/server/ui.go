@@ -1,8 +1,9 @@
 package server
 
 // indexHTML is the embedded single-page front-end: an HTML5 canvas client
-// of the JSON API. It polls /api/graph (which also advances the layout a
-// few steps per poll, so the picture settles live), draws the shapes with
+// of the JSON API. It polls /api/graph (which also advances an unsettled
+// layout a few steps per poll, so the picture settles live; the motion
+// readout is the last step's residual in rendered pixels), draws the shapes with
 // their proportional fill, and forwards every interaction — node dragging,
 // double-click disaggregation, shift-double-click aggregation, the
 // charge/spring/damping sliders, the per-type size scales and the
@@ -279,8 +280,8 @@ async function tick() {
     document.getElementById("sliceLabel").textContent =
       graph.slice[0].toFixed(2) + " – " + graph.slice[1].toFixed(2) + " s";
     document.getElementById("status").textContent =
-      graph.nodes.length + " nodes, " + graph.edges.length + " edges, motion " +
-      graph.moving.toFixed(3);
+      graph.nodes.length + " nodes, " + graph.edges.length + " edges, " +
+      (graph.moving > 0 ? "motion " + graph.moving.toFixed(3) + " px/step" : "settled");
     if (!dragging) fit();
     draw();
   } catch (err) {

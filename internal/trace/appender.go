@@ -44,9 +44,7 @@ func (a *Appender) Set(t float64, resource, metric string, v float64) error {
 		return fmt.Errorf("trace: non-finite value for %s/%s at t=%g", resource, metric, v)
 	}
 	tl.Set(t, v)
-	if t > a.tr.end {
-		a.tr.end = t
-	}
+	a.tr.observe(t)
 	return nil
 }
 
@@ -60,8 +58,6 @@ func (a *Appender) Add(t float64, resource, metric string, dv float64) error {
 		return fmt.Errorf("trace: non-finite delta for %s/%s at t=%g", resource, metric, t)
 	}
 	tl.Add(t, dv)
-	if t > a.tr.end {
-		a.tr.end = t
-	}
+	a.tr.observe(t)
 	return nil
 }

@@ -72,7 +72,13 @@ type Trace struct {
 	edges     []Edge
 	edgeSet   map[Edge]bool
 	states    map[string][]statePoint
-	end       float64 // observation window upper bound
+	// The observation window: start is the earliest point of any
+	// timeline, tracked as points are written (points never leave the
+	// front of a timeline: Compact keeps the first), hasStart whether one
+	// was written yet; end is the upper bound.
+	start    float64
+	hasStart bool
+	end      float64
 }
 
 // New returns an empty trace.
@@ -216,9 +222,7 @@ func (tr *Trace) Set(t float64, resource, metric string, v float64) error {
 		return fmt.Errorf("trace: non-finite value for %s/%s at t=%g", resource, metric, v)
 	}
 	tl.Set(t, v)
-	if t > tr.end {
-		tr.end = t
-	}
+	tr.observe(t)
 	return nil
 }
 
@@ -232,10 +236,18 @@ func (tr *Trace) Add(t float64, resource, metric string, dv float64) error {
 		return fmt.Errorf("trace: non-finite delta for %s/%s at t=%g", resource, metric, t)
 	}
 	tl.Add(t, dv)
+	tr.observe(t)
+	return nil
+}
+
+// observe widens the observation window to a point written at time t.
+func (tr *Trace) observe(t float64) {
+	if !tr.hasStart || t < tr.start {
+		tr.start, tr.hasStart = t, true
+	}
 	if t > tr.end {
 		tr.end = t
 	}
-	return nil
 }
 
 func (tr *Trace) ensure(resource, metric string) (*Timeline, error) {
@@ -309,20 +321,7 @@ func (tr *Trace) SetEnd(t float64) {
 
 // Window returns the observation window [start, end]. Start is the
 // earliest point of any timeline (0 when the trace is empty).
-func (tr *Trace) Window() (start, end float64) {
-	first := true
-	for _, k := range tr.varOrder {
-		tl := tr.vars[k]
-		if tl.Len() == 0 {
-			continue
-		}
-		if first || tl.FirstTime() < start {
-			start = tl.FirstTime()
-			first = false
-		}
-	}
-	return start, tr.end
-}
+func (tr *Trace) Window() (start, end float64) { return tr.start, tr.end }
 
 // NumVariables returns how many (resource, metric) timelines the trace
 // holds.

@@ -143,13 +143,8 @@ func LoadEdges(path string, tr *trace.Trace) (int, error) {
 	return n, sc.Err()
 }
 
-// MustLoad is Load, exiting the program on error — for command-line
-// mains.
-func MustLoad(path string) *trace.Trace {
-	return MustLoadWith(path, ingest.Options{})
-}
-
-// MustLoadWith is LoadWith, exiting the program on error.
+// MustLoadWith is LoadWith, exiting the program on error — for
+// command-line mains.
 func MustLoadWith(path string, opt ingest.Options) *trace.Trace {
 	tr, err := LoadWith(path, opt)
 	if err != nil {
