@@ -162,7 +162,9 @@ func main() {
 	}
 	v.SetParallelism(*parallel)
 	// Settle the layout once before serving, so the first frames arrive
-	// settled instead of mid-flight.
+	// settled instead of mid-flight, at the view's own bound (0.1 render
+	// px): polls step a settled view no further, so this is the motion
+	// the served picture is left with.
 	mls := v.StabilizeMultilevel(0)
 	slog.Info("vivaserve: multilevel pre-layout",
 		"levels", len(mls.Levels), "steps", mls.TotalSteps, "residual", mls.Residual)
