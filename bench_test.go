@@ -9,6 +9,8 @@ package viva_test
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"viva/internal/aggregation"
@@ -20,6 +22,7 @@ import (
 	"viva/internal/masterworker"
 	"viva/internal/nasdt"
 	"viva/internal/platform"
+	"viva/internal/server"
 	"viva/internal/sim"
 	"viva/internal/trace"
 	"viva/internal/treemap"
@@ -333,6 +336,53 @@ func BenchmarkVizgraphBuild(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkServeGraph measures one full /api/graph frame on the
+// Grid'5000 leaf view (every host and link its own node), served through
+// the HTTP handler: the graph rebuild for a new slice, then the JSON
+// encode of every node, edge and layout body. The slice alternates
+// between two values, so no iteration is served from the settled-payload
+// cache; steps=0 keeps the layout out of the frame. The response goes to
+// a writer that only counts bytes, so the numbers are the server's own.
+func BenchmarkServeGraph(b *testing.B) {
+	v, err := core.NewView(gridTrace(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(v)
+	h := srv.Handler()
+	_, end := v.Trace().Window()
+	req := httptest.NewRequest(http.MethodGet, "/api/graph?steps=0", nil)
+	w := &countingWriter{header: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.Locker().Lock()
+		err := v.SetTimeSlice(0, end*float64(1+i%2)/2)
+		srv.Locker().Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.code, w.n = http.StatusOK, 0
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK || w.n == 0 {
+			b.Fatalf("status %d, %d bytes", w.code, w.n)
+		}
+	}
+	b.ReportMetric(float64(w.n), "body-bytes")
+}
+
+// countingWriter is an http.ResponseWriter that keeps only the status
+// and the body length.
+type countingWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (w *countingWriter) Header() http.Header         { return w.header }
+func (w *countingWriter) WriteHeader(code int)        { w.code = code }
+func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
 // buildLayout creates an n-body tree-shaped layout for the scalability
 // series.

@@ -2,10 +2,7 @@ package aggregation
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
-
-	"viva/internal/trace"
 )
 
 // Cut is the current spatial scale: a set of active hierarchy nodes that
@@ -119,9 +116,6 @@ func (c *Cut) OwnerIndex() map[string]string {
 	c.ensureOwners()
 	return c.leafOwner
 }
-
-// IsActive reports whether a node is part of the cut.
-func (c *Cut) IsActive(name string) bool { return c.active[name] }
 
 // Size returns the number of active groups.
 func (c *Cut) Size() int { return len(c.active) }
@@ -257,46 +251,4 @@ func (c *Cut) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ProjectEdges maps base topology edges onto the cut: each endpoint is
-// replaced by its active group and duplicate group pairs are merged, with
-// their multiplicity counted. Edges internal to one group disappear
-// (they become the group's own structure). The result is deterministic.
-func (c *Cut) ProjectEdges(edges []trace.Edge) []ProjectedEdge {
-	type key struct{ a, b string }
-	counts := make(map[key]int)
-	var order []key
-	for _, e := range edges {
-		ga, gb := c.Owner(e.A), c.Owner(e.B)
-		if ga == "" || gb == "" || ga == gb {
-			continue
-		}
-		if ga > gb {
-			ga, gb = gb, ga
-		}
-		k := key{ga, gb}
-		if counts[k] == 0 {
-			order = append(order, k)
-		}
-		counts[k]++
-	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].a != order[j].a {
-			return order[i].a < order[j].a
-		}
-		return order[i].b < order[j].b
-	})
-	out := make([]ProjectedEdge, 0, len(order))
-	for _, k := range order {
-		out = append(out, ProjectedEdge{A: k.a, B: k.b, Multiplicity: counts[k]})
-	}
-	return out
-}
-
-// ProjectedEdge is a merged bundle of base edges between two active
-// groups.
-type ProjectedEdge struct {
-	A, B         string
-	Multiplicity int
 }

@@ -1,6 +1,7 @@
 package aggregation
 
 import (
+	"sort"
 	"testing"
 
 	"viva/internal/trace"
@@ -214,4 +215,49 @@ func TestCutInvariantUnderRandomOps(t *testing.T) {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
+}
+
+// IsActive reports whether a node is part of the cut.
+func (c *Cut) IsActive(name string) bool { return c.active[name] }
+
+// ProjectEdges maps base topology edges onto the cut: each endpoint is
+// replaced by its active group and duplicate group pairs are merged, with
+// their multiplicity counted. Edges internal to one group disappear
+// (they become the group's own structure). The result is deterministic.
+func (c *Cut) ProjectEdges(edges []trace.Edge) []ProjectedEdge {
+	type key struct{ a, b string }
+	counts := make(map[key]int)
+	var order []key
+	for _, e := range edges {
+		ga, gb := c.Owner(e.A), c.Owner(e.B)
+		if ga == "" || gb == "" || ga == gb {
+			continue
+		}
+		if ga > gb {
+			ga, gb = gb, ga
+		}
+		k := key{ga, gb}
+		if counts[k] == 0 {
+			order = append(order, k)
+		}
+		counts[k]++
+	}
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].a != order[j].a {
+			return order[i].a < order[j].a
+		}
+		return order[i].b < order[j].b
+	})
+	out := make([]ProjectedEdge, 0, len(order))
+	for _, k := range order {
+		out = append(out, ProjectedEdge{A: k.a, B: k.b, Multiplicity: counts[k]})
+	}
+	return out
+}
+
+// ProjectedEdge is a merged bundle of base edges between two active
+// groups.
+type ProjectedEdge struct {
+	A, B         string
+	Multiplicity int
 }

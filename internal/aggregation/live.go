@@ -131,6 +131,3 @@ func (lw *LiveWindow) Advance(hi float64, fn func(resource, metric string, integ
 		fn(s.resource, s.metric, integral, mean)
 	}
 }
-
-// NumSeries returns how many timelines the window currently tracks.
-func (lw *LiveWindow) NumSeries() int { return len(lw.series) }

@@ -138,3 +138,6 @@ func TestLiveWindowDiscoversNewSeries(t *testing.T) {
 		t.Fatalf("late series mean %g, want %g", seen["h1"], wantM)
 	}
 }
+
+// NumSeries returns how many timelines the window currently tracks.
+func (lw *LiveWindow) NumSeries() int { return len(lw.series) }

@@ -196,36 +196,11 @@ func (l *Layout) AddBodyAuto(id string, charge float64) (*Body, error) {
 	return l.AddBody(id, pos, charge)
 }
 
-// RemoveBody deletes a body and every spring touching it. Removing an
-// unknown ID is a no-op returning false.
-func (l *Layout) RemoveBody(id string) bool {
-	b, ok := l.index[id]
-	if !ok {
-		return false
-	}
-	delete(l.index, id)
-	i := b.idx
-	copy(l.bodies[i:], l.bodies[i+1:])
-	l.bodies = l.bodies[:len(l.bodies)-1]
-	for ; i < len(l.bodies); i++ {
-		l.bodies[i].idx = i
-	}
-	springs := l.springs[:0]
-	for _, s := range l.springs {
-		if s.A != id && s.B != id {
-			springs = append(springs, s)
-		}
-	}
-	l.springs = springs
-	l.adjDirty = true
-	return true
-}
-
 // RemoveBodies deletes a batch of bodies and every spring touching any of
 // them in one pass over the body and spring slices — the aggregation
-// transitions of core.View remove whole groups at once, and per-ID
-// RemoveBody calls would make that quadratic. Insertion order of the
-// survivors is preserved. Returns how many of the IDs existed.
+// transitions of core.View remove whole groups at once, and removing them
+// one ID at a time would be quadratic. Insertion order of the survivors
+// is preserved. Returns how many of the IDs existed.
 func (l *Layout) RemoveBodies(ids []string) int {
 	doomed := make(map[string]bool, len(ids))
 	removed := 0
@@ -527,8 +502,8 @@ func springForce(a, b *Body, strength, k, rest float64) (Point, bool) {
 // springs touching it in ascending spring order, encoded ±(index+1) for
 // the A/B endpoint; and for each spring, its end bodies' indices, so the
 // spring pass never looks a body up by ID. Rebuilt only when
-// SetSprings/RemoveBody(-ies) changed the edge set or bodies were added
-// since the last build.
+// SetSprings/RemoveBodies changed the edge set or bodies were added since
+// the last build.
 func (l *Layout) buildAdjacency() {
 	for i := range l.adj {
 		l.adj[i] = l.adj[i][:0]
@@ -649,17 +624,6 @@ func (l *Layout) integrate(active []int32) float64 {
 		}
 	}
 	return maxDisp
-}
-
-// KineticEnergy returns Σ ½‖v‖² (unit masses), another convergence
-// indicator.
-func (l *Layout) KineticEnergy() float64 {
-	var e float64
-	for _, b := range l.bodies {
-		v := b.Vel.Norm()
-		e += 0.5 * v * v
-	}
-	return e
 }
 
 // Snapshot captures every body's position.

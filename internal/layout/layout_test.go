@@ -415,3 +415,40 @@ func TestAggregateTransitionSmoothness(t *testing.T) {
 		t.Errorf("far body moved %g (%.0f%% of layout span) across aggregation", moved, 100*moved/span)
 	}
 }
+
+// RemoveBody deletes one body and every spring touching it, the
+// single-ID form of RemoveBodies. Removing an unknown ID is a no-op
+// returning false.
+func (l *Layout) RemoveBody(id string) bool {
+	b, ok := l.index[id]
+	if !ok {
+		return false
+	}
+	delete(l.index, id)
+	i := b.idx
+	copy(l.bodies[i:], l.bodies[i+1:])
+	l.bodies = l.bodies[:len(l.bodies)-1]
+	for ; i < len(l.bodies); i++ {
+		l.bodies[i].idx = i
+	}
+	springs := l.springs[:0]
+	for _, s := range l.springs {
+		if s.A != id && s.B != id {
+			springs = append(springs, s)
+		}
+	}
+	l.springs = springs
+	l.adjDirty = true
+	return true
+}
+
+// KineticEnergy returns Σ ½‖v‖² (unit masses), another convergence
+// indicator.
+func (l *Layout) KineticEnergy() float64 {
+	var e float64
+	for _, b := range l.bodies {
+		v := b.Vel.Norm()
+		e += 0.5 * v * v
+	}
+	return e
+}

@@ -15,12 +15,14 @@ import (
 	"time"
 
 	"viva/internal/stream"
+	"viva/internal/vizgraph"
 )
 
 // FuzzGraphQuery drives /api/graph's query parsing (steps, viewport,
 // zoom) with arbitrary strings. Every request must end in 200 or 400 —
 // never a panic (the recovery middleware would turn it into a 500) — and
-// a 200 must come from finite inputs and carry only finite numbers. The
+// a 200 must come from finite inputs, carry only finite numbers, and be
+// byte-identical to json.Marshal of the reference wire structs. The
 // seed corpus covers the full and LOD forms, every rejection branch, and
 // the non-finite spellings fmt's %f accepts (NaN, Inf, +Inf, -Inf).
 func FuzzGraphQuery(f *testing.F) {
@@ -44,7 +46,8 @@ func FuzzGraphQuery(f *testing.F) {
 	f.Add("3", "0,0,1,1", "1e308")        // huge finite zoom
 	f.Add("3", "-1e308,-1e308,1e308,1e308", "1e-308")
 
-	h := New(testView(f)).Handler()
+	s := New(testView(f))
+	h := s.Handler()
 	f.Fuzz(func(t *testing.T, steps, viewport, zoom string) {
 		q := url.Values{}
 		for k, v := range map[string]string{"steps": steps, "viewport": viewport, "zoom": zoom} {
@@ -77,6 +80,33 @@ func FuzzGraphQuery(f *testing.F) {
 			t.Fatalf("200 with undecodable body: %v", err)
 		}
 		checkFinite(t, body)
+
+		var got struct {
+			Moving float64 `json:"moving"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		var ref []byte
+		var err error
+		if viewport == "" {
+			ref, err = refGraph(s.view, got.Moving)
+		} else {
+			var vp vizgraph.Viewport
+			z := 1.0
+			fmt.Sscanf(viewport, "%f,%f,%f,%f", &vp.MinX, &vp.MinY, &vp.MaxX, &vp.MaxY)
+			if zoom != "" {
+				fmt.Sscanf(zoom, "%f", &z)
+			}
+			ref, err = refLOD(s.view, vp, z, got.Moving)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), ref) {
+			t.Fatalf("steps=%q viewport=%q zoom=%q: encoder and reference differ\n got: %s\nwant: %s",
+				steps, viewport, zoom, rec.Body.Bytes(), ref)
+		}
 	})
 }
 

@@ -19,7 +19,6 @@ import (
 
 	"viva/internal/aggregation"
 	"viva/internal/core"
-	"viva/internal/layout"
 	"viva/internal/obs"
 	"viva/internal/render"
 	"viva/internal/stream"
@@ -69,6 +68,10 @@ type Server struct {
 	cacheGen uint64
 	cacheTag string
 	tagSeed  maphash.Seed
+
+	// The lengths of the last full and LOD /api/graph payloads: the next
+	// frame's buffer size hint for each form.
+	graphLen, lodLen int
 }
 
 // New creates a server over a view.
@@ -268,48 +271,6 @@ func decode(w http.ResponseWriter, r *http.Request, v any) error {
 	return dec.Decode(v)
 }
 
-// nodeJSON is the wire form of a visual node.
-type nodeJSON struct {
-	ID       string        `json:"id"`
-	Group    string        `json:"group"`
-	Parent   string        `json:"parent"` // hierarchy parent of the group
-	Type     string        `json:"type"`
-	Label    string        `json:"label"`
-	Shape    string        `json:"shape"`
-	Color    string        `json:"color"`
-	Size     float64       `json:"size"`
-	Fill     float64       `json:"fill"`
-	Avail    float64       `json:"avail"`
-	Count    int           `json:"count"`
-	Value    float64       `json:"value"`
-	X        float64       `json:"x"`
-	Y        float64       `json:"y"`
-	Pinned   bool          `json:"pinned"`
-	Leaf     bool          `json:"leaf"`
-	Segments []segmentJSON `json:"segments,omitempty"`
-}
-
-type segmentJSON struct {
-	Category string  `json:"category"`
-	Fraction float64 `json:"fraction"`
-	Color    string  `json:"color"`
-}
-
-type edgeJSON struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	Mult int    `json:"mult"`
-}
-
-type graphJSON struct {
-	Nodes  []nodeJSON    `json:"nodes"`
-	Edges  []edgeJSON    `json:"edges"`
-	Slice  [2]float64    `json:"slice"`
-	Window [2]float64    `json:"window"`
-	Params layout.Params `json:"params"`
-	Moving float64       `json:"moving"` // last step's residual, render px
-}
-
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	steps := 5
 	if q := r.URL.Query().Get("steps"); q != "" {
@@ -379,22 +340,8 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		s.writeGraphLOD(w, g, tree, *vp, zoom, moving)
 		return
 	}
-	out := graphJSON{Params: s.view.Layout().Params(), Moving: moving}
-	out.Slice = [2]float64{s.view.TimeSlice().Start, s.view.TimeSlice().End}
-	ws, we := s.view.Source().Window()
-	out.Window = [2]float64{ws, we}
-	for _, n := range g.Nodes {
-		b := s.view.Layout().Body(n.ID)
-		if b == nil {
-			continue
-		}
-		out.Nodes = append(out.Nodes, nodeToJSON(tree, n, b))
-	}
-	for _, e := range g.Edges {
-		out.Edges = append(out.Edges, edgeJSON{From: e.From, To: e.To, Mult: e.Multiplicity})
-	}
 	renderSpan := obs.StartSpan(obs.StageRender)
-	body, err := json.Marshal(out)
+	body, err := s.encodeGraph(g, tree, moving)
 	renderSpan.End()
 	if err != nil {
 		writeErr(w, err)
@@ -421,50 +368,6 @@ func finite(xs ...float64) bool {
 	return true
 }
 
-// nodeToJSON renders one visual node plus its layout body to wire form.
-func nodeToJSON(tree *aggregation.Tree, n *vizgraph.Node, b *layout.Body) nodeJSON {
-	tn := tree.Node(n.Group)
-	nj := nodeJSON{
-		ID: n.ID, Group: n.Group, Parent: tn.Parent, Type: n.Type,
-		Label: n.Label, Shape: n.Shape.String(), Color: n.Color,
-		Size: n.Size, Fill: n.Fill, Avail: n.Avail, Count: n.Count, Value: n.Value,
-		X: b.Pos.X, Y: b.Pos.Y, Pinned: b.Pinned, Leaf: tn.IsEntity(),
-	}
-	for _, seg := range n.Segments {
-		nj.Segments = append(nj.Segments, segmentJSON{Category: seg.Category, Fraction: seg.Fraction, Color: seg.Color})
-	}
-	return nj
-}
-
-// lodGroupJSON is the wire form of one out-of-view coarse group.
-type lodGroupJSON struct {
-	ID      string  `json:"id"`
-	Group   string  `json:"group"`
-	Type    string  `json:"type"`
-	Members int     `json:"members"`
-	Count   int     `json:"count"`
-	Value   float64 `json:"value"`
-	Size    float64 `json:"size"`
-	Fill    float64 `json:"fill"`
-	Avail   float64 `json:"avail"`
-	X       float64 `json:"x"`
-	Y       float64 `json:"y"`
-}
-
-// lodJSON is the level-of-detail response: full-detail nodes inside the
-// viewport, coarse hierarchy groups beyond, edges remapped accordingly.
-// Its size is bounded by the viewport content plus the hierarchy width at
-// the LOD depth — independent of the total graph size.
-type lodJSON struct {
-	Nodes  []nodeJSON     `json:"nodes"`
-	Groups []lodGroupJSON `json:"groups"`
-	Edges  []edgeJSON     `json:"edges"`
-	Depth  int            `json:"depth"`
-	Slice  [2]float64     `json:"slice"`
-	Window [2]float64     `json:"window"`
-	Moving float64        `json:"moving"`
-}
-
 func (s *Server) writeGraphLOD(w http.ResponseWriter, g *vizgraph.Graph, tree *aggregation.Tree, vp vizgraph.Viewport, zoom, moving float64) {
 	lay := s.view.Layout()
 	lod := vizgraph.BuildLOD(g, tree, func(id string) (float64, float64, bool) {
@@ -474,34 +377,8 @@ func (s *Server) writeGraphLOD(w http.ResponseWriter, g *vizgraph.Graph, tree *a
 		}
 		return b.Pos.X, b.Pos.Y, true
 	}, vp, zoom)
-	// Empty lists encode as [], not null: a zoomed-out client with nothing
-	// in view still gets arrays it can iterate.
-	out := lodJSON{
-		Depth: lod.Depth, Moving: moving,
-		Nodes:  []nodeJSON{},
-		Groups: []lodGroupJSON{},
-		Edges:  []edgeJSON{},
-	}
-	out.Slice = [2]float64{s.view.TimeSlice().Start, s.view.TimeSlice().End}
-	ws, we := s.view.Source().Window()
-	out.Window = [2]float64{ws, we}
-	for _, n := range lod.Visible {
-		if b := lay.Body(n.ID); b != nil {
-			out.Nodes = append(out.Nodes, nodeToJSON(tree, n, b))
-		}
-	}
-	for _, lg := range lod.Groups {
-		out.Groups = append(out.Groups, lodGroupJSON{
-			ID: lg.ID, Group: lg.Group, Type: lg.Type,
-			Members: lg.Members, Count: lg.Count, Value: lg.Value,
-			Size: lg.Size, Fill: lg.Fill, Avail: lg.Avail, X: lg.X, Y: lg.Y,
-		})
-	}
-	for _, e := range lod.Edges {
-		out.Edges = append(out.Edges, edgeJSON{From: e.From, To: e.To, Mult: e.Multiplicity})
-	}
 	renderSpan := obs.StartSpan(obs.StageRender)
-	body, err := json.Marshal(out)
+	body, err := s.encodeLOD(lod, tree, moving)
 	renderSpan.End()
 	if err != nil {
 		writeErr(w, err)

@@ -1,8 +1,8 @@
 package stream
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"log/slog"
 	"sort"
 	"strings"
@@ -13,6 +13,7 @@ import (
 	"viva/internal/aggregation"
 	"viva/internal/obs"
 	"viva/internal/trace"
+	"viva/internal/wire"
 )
 
 // Source produces the live trace operations the publisher applies. Run
@@ -204,35 +205,99 @@ func (s *Stream) Report() Report {
 	return r
 }
 
-// seriesStat is one aggregated (resource, metric) window result as it
-// appears in snapshot JSON.
+// seriesStat is one aggregated (resource, metric) window result.
 type seriesStat struct {
-	Resource string  `json:"resource"`
-	Metric   string  `json:"metric"`
-	Integral float64 `json:"integral"`
-	Mean     float64 `json:"mean"`
+	Resource, Metric string
+	Integral, Mean   float64
 }
 
-// resourceInfo is the catalog entry full snapshots carry.
-type resourceInfo struct {
-	Name   string `json:"name"`
-	Type   string `json:"type"`
-	Parent string `json:"parent,omitempty"`
+// frameHead is the part of a snapshot every frame carries.
+type frameHead struct {
+	seq    uint64
+	time   float64
+	window [2]float64
+	events int
 }
 
-// frame is the JSON payload of one snapshot. Deltas carry only the
-// series whose window aggregate changed this tick; full frames carry the
-// catalog and every series.
-type frame struct {
-	Seq       uint64         `json:"seq"`
-	Time      float64        `json:"time"`
-	Window    [2]float64     `json:"window"`
-	Events    int            `json:"events"`
-	Full      bool           `json:"full,omitempty"`
-	Resources []resourceInfo `json:"resources,omitempty"`
-	Edges     [][2]string    `json:"edges,omitempty"`
-	Series    []seriesStat   `json:"series"`
-	Groups    []seriesStat   `json:"groups,omitempty"`
+// catalog is the topology a full snapshot carries, copied under the
+// publisher's lock.
+type catalog struct {
+	resources []*trace.Resource
+	edges     []trace.Edge
+}
+
+// encodeFrame appends one snapshot's JSON payload (see package wire).
+// Deltas (cat nil) carry only the series whose window aggregate changed
+// this tick; full frames carry the catalog and every series:
+//
+//	{"seq":n,"time":t,"window":[a,b],"events":n,"full":true,"resources":[…],"edges":[[a,b],…],"series":[…],"groups":[…]}
+//
+// full, an empty resources or edges list and an empty groups list are
+// left out; an empty series list is null.
+func encodeFrame(buf []byte, h frameHead, cat *catalog, series, groups []seriesStat) ([]byte, error) {
+	e := wire.NewEncoder(buf)
+	e.Raw(`{"seq":`).Uint(h.seq)
+	e.Raw(`,"time":`).Float(h.time)
+	e.Raw(`,"window":`).Pair(h.window[0], h.window[1])
+	e.Raw(`,"events":`).Int(h.events)
+	if cat != nil {
+		e.Raw(`,"full":true`)
+		if len(cat.resources) > 0 {
+			e.Raw(`,"resources":[`)
+			for i, r := range cat.resources {
+				if i > 0 {
+					e.Raw(",")
+				}
+				e.Raw(`{"name":`).String(r.Name)
+				e.Raw(`,"type":`).String(r.Type)
+				if r.Parent != "" {
+					e.Raw(`,"parent":`).String(r.Parent)
+				}
+				e.Raw("}")
+			}
+			e.Raw("]")
+		}
+		if len(cat.edges) > 0 {
+			e.Raw(`,"edges":[`)
+			for i, ed := range cat.edges {
+				if i > 0 {
+					e.Raw(",")
+				}
+				e.Raw("[").String(ed.A)
+				e.Raw(",").String(ed.B)
+				e.Raw("]")
+			}
+			e.Raw("]")
+		}
+	}
+	e.Raw(`,"series":`)
+	appendStats(e, series)
+	if len(groups) > 0 {
+		e.Raw(`,"groups":`)
+		appendStats(e, groups)
+	}
+	e.Raw("}")
+	return e.Bytes()
+}
+
+// appendStats appends a series list, null when empty.
+func appendStats(e *wire.Encoder, stats []seriesStat) {
+	if len(stats) == 0 {
+		e.Raw("null")
+		return
+	}
+	e.Raw("[")
+	for i, st := range stats {
+		if i > 0 {
+			e.Raw(",")
+		}
+		e.Raw(`{"resource":`).String(st.Resource)
+		e.Raw(`,"metric":`).String(st.Metric)
+		e.Raw(`,"integral":`).Float(st.Integral)
+		e.Raw(`,"mean":`).Float(st.Mean)
+		e.Raw("}")
+	}
+	e.Raw("]")
 }
 
 // Run drives the publisher until the source drains or ctx is cancelled.
@@ -380,22 +445,10 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 
 	_, now := s.tr.Window()
 	full := final || (ticks-1)%s.cfg.FullEvery == 0 // the first tick seeds a full
-	df := frame{
-		Seq:    seq,
-		Time:   now,
-		Window: [2]float64{now - s.cfg.Window, now},
-		Events: applied,
-	}
-	var ff frame
+	head := frameHead{seq: seq, time: now, window: [2]float64{now - s.cfg.Window, now}, events: applied}
+	var cat *catalog
 	if full {
-		ff = df
-		ff.Full = true
-		for _, r := range s.tr.Resources() {
-			ff.Resources = append(ff.Resources, resourceInfo{r.Name, r.Type, r.Parent})
-		}
-		for _, e := range s.tr.Edges() {
-			ff.Edges = append(ff.Edges, [2]string{e.A, e.B})
-		}
+		cat = &catalog{resources: s.tr.Resources(), edges: s.tr.Edges()}
 	}
 
 	type groupKey struct{ group, metric string }
@@ -404,19 +457,20 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 		groups = make(map[groupKey]*seriesStat)
 	}
 	var groupOrder []groupKey
+	var delta, all []seriesStat
 	i := 0
 	s.lw.Advance(now, func(resource, metric string, integral, mean float64) {
 		stat := seriesStat{resource, metric, integral, mean}
 		if i == len(s.lastMean) {
 			// Newly discovered series: always in the delta.
 			s.lastMean = append(s.lastMean, mean)
-			df.Series = append(df.Series, stat)
+			delta = append(delta, stat)
 		} else if s.lastMean[i] != mean {
 			s.lastMean[i] = mean
-			df.Series = append(df.Series, stat)
+			delta = append(delta, stat)
 		}
 		if full {
-			ff.Series = append(ff.Series, stat)
+			all = append(all, stat)
 		}
 		if groups != nil {
 			k := groupKey{s.ancestorAt(resource, s.cfg.Depth), metric}
@@ -431,11 +485,9 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 		}
 		i++
 	})
+	var groupStats []seriesStat
 	for _, k := range groupOrder {
-		df.Groups = append(df.Groups, *groups[k])
-		if full {
-			ff.Groups = append(ff.Groups, *groups[k])
-		}
+		groupStats = append(groupStats, *groups[k])
 	}
 
 	if s.cfg.OnTick != nil {
@@ -447,10 +499,10 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	obs.Frames.EmitSpan(obs.StageAggregate, clock.Mark(obsStageAggregate))
 
 	// Encode once, outside the lock: every subscriber shares these bytes.
-	data, err := json.Marshal(df)
+	data, err := encode(head, nil, delta, groupStats)
 	var fdata []byte
 	if full {
-		fdata, _ = json.Marshal(ff)
+		fdata, _ = encode(head, cat, all, groupStats)
 	}
 	obs.Frames.EmitSpan(obs.StageEncode, clock.Mark(obsStageEncode))
 
@@ -481,6 +533,29 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	s.latencies = append(s.latencies, d)
 	s.mu.Unlock()
 	return d
+}
+
+// framePool holds encode buffers between ticks, as encoding/json pools
+// its own: a buffer grown to the largest frame is reused while the
+// stream runs and released by the GC when it idles.
+var framePool sync.Pool // of *[]byte
+
+// encode encodes one frame in a pooled buffer and returns an exact-size
+// copy. The hub keeps the last ResumeWindow deltas and the subscriber
+// rings hold more, so spare capacity on each payload would stay resident
+// many times over.
+func encode(h frameHead, cat *catalog, series, groups []seriesStat) ([]byte, error) {
+	bp, _ := framePool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer framePool.Put(bp)
+	b, err := encodeFrame((*bp)[:0], h, cat, series, groups)
+	if err != nil {
+		return nil, err
+	}
+	*bp = b
+	return bytes.Clone(b), nil
 }
 
 // anomalyTicks is how many consecutive over-SLO publishes trip the

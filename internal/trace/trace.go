@@ -348,21 +348,6 @@ func (tr *Trace) Roots() []string {
 	return out
 }
 
-// CompactAll merges consecutive equal-valued points in every timeline,
-// preserving every denoted function while shrinking storage — useful
-// after long simulations whose rate recomputations wrote redundant
-// points. It returns the number of points removed.
-func (tr *Trace) CompactAll() int {
-	removed := 0
-	for _, k := range tr.varOrder {
-		tl := tr.vars[k]
-		before := tl.Len()
-		tl.Compact()
-		removed += before - tl.Len()
-	}
-	return removed
-}
-
 // Validate checks structural invariants: every parent exists and the
 // hierarchy is acyclic. Traces built through DeclareResource always pass;
 // Validate guards traces read from files.

@@ -302,3 +302,18 @@ func TestReadSkipsCommentsAndBlanks(t *testing.T) {
 		t.Errorf("power = %g, want 5", got)
 	}
 }
+
+// CompactAll merges consecutive equal-valued points in every timeline,
+// preserving every denoted function while shrinking storage — useful
+// after long simulations whose rate recomputations wrote redundant
+// points. It returns the number of points removed.
+func (tr *Trace) CompactAll() int {
+	removed := 0
+	for _, k := range tr.varOrder {
+		tl := tr.vars[k]
+		before := tl.Len()
+		tl.Compact()
+		removed += before - tl.Len()
+	}
+	return removed
+}

@@ -31,7 +31,9 @@ BENCHTIME="${1:-1x}"
 # BenchmarkLayoutFlatConverge report ms-to-conv (wall-clock cold seed to
 # residual < eps), the multilevel speedup headline.
 LAYOUT_PATTERN="${2:-BenchmarkLayout|BenchmarkAggregateDisaggregate|BenchmarkAblationTheta}"
-AGG_PATTERN="${2:-BenchmarkSliceScrub|BenchmarkVizgraphBuild|BenchmarkFig2TemporalAggregation|BenchmarkFig3SpatialAggregation|BenchmarkFig9Animation|BenchmarkSummarise}"
+# The aggregation suite also carries BenchmarkServeGraph: one uncached
+# /api/graph frame of the Grid'5000 leaf view (rebuild plus encode).
+AGG_PATTERN="${2:-BenchmarkSliceScrub|BenchmarkVizgraphBuild|BenchmarkServeGraph|BenchmarkFig2TemporalAggregation|BenchmarkFig3SpatialAggregation|BenchmarkFig9Animation|BenchmarkSummarise}"
 # The fault suite includes Fig6 so the healthy-path overhead of the fault
 # subsystem is visible against the same-workload baseline in one file.
 FAULT_PATTERN="${2:-BenchmarkEngineWithFaults|BenchmarkFig6NASDTSequential}"
@@ -47,8 +49,8 @@ SIM_PATTERN="${2:-BenchmarkFig6NASDTSequential|BenchmarkEngineScaling}"
 # against a trace ~60x larger than its chunk cache.
 STORE_PATTERN="${2:-BenchmarkStoreCompact|BenchmarkStoreQuery}"
 # The stream suite tracks the live broadcast layer: fan-out publish
-# latency at 1k/5k/10k subscribers (p99-push-ms, events/sec) and the
-# end-to-end publisher tick (apply, window, encode).
+# latency at 1k/5k/10k subscribers (p99-push-ms, events/sec) and one
+# publisher tick over a prepared batch (apply, window, encode, publish).
 STREAM_PATTERN="${2:-BenchmarkStreamFanout|BenchmarkPublisherTick}"
 
 # to_json RAW OUT — convert `go test -bench` output lines like
