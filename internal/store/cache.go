@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"viva/internal/obs"
+	"viva/internal/trace"
 )
 
 // Chunk-cache observability: the hit ratio tells whether the cache is
@@ -34,20 +35,13 @@ var (
 // trace.
 const DefaultCacheBytes = 4 << 20
 
-// chunkData is one decoded chunk: parallel point arrays plus the
-// column-absolute prefix sums. Immutable once decoded; shared by every
-// reader that hits the cache.
-type chunkData struct {
-	times  []float64
-	values []float64
-	prefix []float64
-}
-
 type cacheKey struct{ col, chunk int }
 
+// cacheEntry holds one decoded chunk, immutable once decoded and shared
+// by every reader that hits the cache.
 type cacheEntry struct {
 	key   cacheKey
-	data  *chunkData
+	data  trace.Chunk
 	bytes int64
 }
 
@@ -79,7 +73,7 @@ func newChunkCache(r io.ReaderAt, maxBytes int64) *chunkCache {
 }
 
 // get returns the decoded chunk, from cache or disk.
-func (c *chunkCache) get(col, chunk int, m *chunkMeta) (*chunkData, error) {
+func (c *chunkCache) get(col, chunk int, b *blobRef) (trace.Chunk, error) {
 	key := cacheKey{col, chunk}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -93,11 +87,11 @@ func (c *chunkCache) get(col, chunk int, m *chunkMeta) (*chunkData, error) {
 	obsCacheMisses.Inc()
 	c.misses.Add(1)
 
-	data, err := readChunk(c.readAt, m)
+	data, err := readChunk(c.readAt, b)
 	if err != nil {
-		return nil, err
+		return trace.Chunk{}, err
 	}
-	sz := int64(m.ulen)
+	sz := int64(b.ulen)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -138,31 +132,31 @@ func (c *chunkCache) get(col, chunk int, m *chunkMeta) (*chunkData, error) {
 }
 
 // readChunk preads and decodes one chunk blob.
-func readChunk(r io.ReaderAt, m *chunkMeta) (*chunkData, error) {
-	stored := make([]byte, m.clen)
-	if _, err := r.ReadAt(stored, int64(m.off)); err != nil {
-		return nil, fmt.Errorf("store: reading chunk at %d: %w", m.off, err)
+func readChunk(r io.ReaderAt, b *blobRef) (trace.Chunk, error) {
+	stored := make([]byte, b.clen)
+	if _, err := r.ReadAt(stored, int64(b.off)); err != nil {
+		return trace.Chunk{}, fmt.Errorf("store: reading chunk at %d: %w", b.off, err)
 	}
 	raw := stored
-	if m.enc == encFlate {
+	if b.enc == encFlate {
 		fr := flate.NewReader(bytes.NewReader(stored))
-		raw = make([]byte, m.ulen)
+		raw = make([]byte, b.ulen)
 		if _, err := io.ReadFull(fr, raw); err != nil {
-			return nil, fmt.Errorf("store: decompressing chunk at %d: %w", m.off, err)
+			return trace.Chunk{}, fmt.Errorf("store: decompressing chunk at %d: %w", b.off, err)
 		}
 		// A corrupt stream may inflate past ulen; reject instead of
 		// silently truncating.
 		if n, _ := fr.Read(make([]byte, 1)); n != 0 {
-			return nil, fmt.Errorf("store: chunk at %d inflates past its declared size", m.off)
+			return trace.Chunk{}, fmt.Errorf("store: chunk at %d inflates past its declared size", b.off)
 		}
 	}
-	if len(raw) != int(m.ulen) {
-		return nil, fmt.Errorf("store: chunk at %d has %d bytes, want %d", m.off, len(raw), m.ulen)
+	if len(raw) != int(b.ulen) {
+		return trace.Chunk{}, fmt.Errorf("store: chunk at %d has %d bytes, want %d", b.off, len(raw), b.ulen)
 	}
-	n := int(m.count)
+	n := int(b.ulen) / 24
 	all := make([]float64, 3*n)
 	for i := range all {
 		all[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
-	return &chunkData{times: all[:n], values: all[n : 2*n], prefix: all[2*n : 3*n]}, nil
+	return trace.Chunk{Times: all[:n:n], Values: all[n : 2*n : 2*n], Prefix: all[2*n:]}, nil
 }

@@ -25,9 +25,10 @@
 // times[count] ++ values[count] ++ prefix[count] (float64 each, so
 // 24*count bytes), optionally flate-compressed when that makes it
 // smaller. prefix[i] is the ABSOLUTE cumulative integral of the column's
-// step function up to point i, computed by the same left-to-right
-// recurrence the in-heap timeline index uses — which is what makes
-// store-backed query results bit-identical to heap-backed ones.
+// step function up to point i, computed by the trace.ColumnBuilder the
+// in-heap timeline index runs, and every query is answered by the same
+// trace.Column kernel on both sides — which is what makes store-backed
+// query results bit-identical to heap-backed ones.
 //
 // The footer holds: the resource catalog (name/type/parent, declaration
 // order), topology edges (resource indices), per-resource state events
@@ -43,6 +44,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"viva/internal/trace"
 )
 
 // Magic identifies a columnar trace file; it both opens the file and
@@ -59,39 +62,33 @@ const (
 	encFlate = 1 // the same bytes, DEFLATE-compressed
 )
 
-// DefaultChunkPoints is the default number of points per chunk: 24 KiB
-// raw, small enough that a boundary-chunk decompression stays cheap,
-// large enough that the directory stays tiny next to the data.
-const DefaultChunkPoints = 1024
+// DefaultChunkPoints is the default number of points per chunk, the
+// heap index's chunk size.
+const DefaultChunkPoints = trace.DefaultChunkPoints
 
 // IsColumnar reports whether head starts a .vvc columnar trace file.
 func IsColumnar(head []byte) bool {
 	return len(head) >= len(Magic) && string(head[:len(Magic)]) == Magic
 }
 
-// chunkMeta is one directory entry: everything needed to locate, decode
-// and — for windows that cover the chunk entirely — answer from, one
-// chunk, without touching the blob.
-type chunkMeta struct {
-	off       uint64 // blob offset from file start
-	clen      uint32 // stored (possibly compressed) length
-	ulen      uint32 // raw length, 24*count
-	enc       uint8
-	count     uint32
-	firstT    float64 // times[0]
-	lastT     float64 // times[count-1]
-	lastV     float64 // values[count-1]
-	prefFirst float64 // prefix[0]
-	prefLast  float64 // prefix[count-1]
-	min, max  float64 // extrema of values
+// blobRef locates and decodes one chunk blob. Together with the chunk's
+// trace.ChunkMeta it is one directory entry: everything needed to read
+// the chunk, or, for windows that cover it entirely, to answer from it
+// without touching the blob.
+type blobRef struct {
+	off  uint64 // blob offset from file start
+	clen uint32 // stored (possibly compressed) length
+	ulen uint32 // raw length, 24*count
+	enc  uint8
 }
 
-// column is one (resource, metric) directory entry.
+// column is one (resource, metric) directory entry: the query directory
+// the kernel reads and, index for index, where each chunk's blob lies.
 type column struct {
 	resource string
 	metric   string
-	chunks   []chunkMeta
-	points   int // total count across chunks
+	dir      []trace.ChunkMeta
+	blobs    []blobRef
 }
 
 // stateEvent mirrors trace state points in the footer.
@@ -128,6 +125,11 @@ func (e *footerEncoder) str(s string) {
 
 func (e *footerEncoder) f64(v float64) {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
+}
+
+// metaFloats lists a directory entry's float fields in footer order.
+func metaFloats(m *trace.ChunkMeta) []*float64 {
+	return []*float64{&m.FirstT, &m.LastT, &m.LastV, &m.PrefFirst, &m.PrefLast, &m.Min, &m.Max}
 }
 
 // encodeChunkPayload lays out times ++ values ++ prefix as raw
@@ -304,14 +306,13 @@ func decodeFooter(b []byte, dataEnd uint64) (*footer, error) {
 		if nChunks > uint64(r.remaining()) {
 			return nil, fmt.Errorf("store: chunk count %d exceeds footer size", nChunks)
 		}
-		col.chunks = make([]chunkMeta, nChunks)
-		for k := range col.chunks {
-			if err := decodeChunkMeta(r, &col.chunks[k], dataEnd); err != nil {
+		col.dir = make([]trace.ChunkMeta, nChunks)
+		col.blobs = make([]blobRef, nChunks)
+		for k := range col.dir {
+			if err := decodeChunkMeta(r, &col.dir[k], &col.blobs[k], dataEnd); err != nil {
 				return nil, err
 			}
-			m := &col.chunks[k]
-			col.points += int(m.count)
-			if k > 0 && m.firstT <= col.chunks[k-1].lastT {
+			if k > 0 && col.dir[k].FirstT <= col.dir[k-1].LastT {
 				return nil, fmt.Errorf("store: column %s/%s chunk %d not time-ordered", col.resource, col.metric, k)
 			}
 		}
@@ -322,7 +323,7 @@ func decodeFooter(b []byte, dataEnd uint64) (*footer, error) {
 	return f, nil
 }
 
-func decodeChunkMeta(r *byteReader, m *chunkMeta, dataEnd uint64) error {
+func decodeChunkMeta(r *byteReader, m *trace.ChunkMeta, b *blobRef, dataEnd uint64) error {
 	off, err := r.uvarint()
 	if err != nil {
 		return err
@@ -355,15 +356,15 @@ func decodeChunkMeta(r *byteReader, m *chunkMeta, dataEnd uint64) error {
 	if enc == encRaw && clen != ulen {
 		return fmt.Errorf("store: raw chunk stored length %d != %d", clen, ulen)
 	}
-	m.off, m.clen, m.ulen = off, uint32(clen), uint32(ulen)
-	m.enc, m.count = uint8(enc), uint32(count)
-	for _, dst := range []*float64{&m.firstT, &m.lastT, &m.lastV, &m.prefFirst, &m.prefLast, &m.min, &m.max} {
+	*b = blobRef{off: off, clen: uint32(clen), ulen: uint32(ulen), enc: uint8(enc)}
+	m.Count = int(count)
+	for _, dst := range metaFloats(m) {
 		if *dst, err = r.f64(); err != nil {
 			return err
 		}
 	}
-	if m.count > 1 && m.lastT < m.firstT {
-		return fmt.Errorf("store: chunk times inverted (%g > %g)", m.firstT, m.lastT)
+	if m.Count > 1 && m.LastT < m.FirstT {
+		return fmt.Errorf("store: chunk times inverted (%g > %g)", m.FirstT, m.LastT)
 	}
 	return nil
 }

@@ -25,8 +25,8 @@ var obsReadErrors = obs.Default.Counter("viva_store_read_errors_total",
 // aggregation.Source, so views and servers work off it exactly as off an
 // in-heap trace, with resident memory O(cache), not O(trace).
 //
-// A Store is safe for concurrent readers. Close invalidates every
-// ColumnSeries obtained from it.
+// A Store is safe for concurrent readers. Close invalidates every Series
+// obtained from it.
 type Store struct {
 	f     *os.File
 	cat   *trace.Trace // resources, edges, states, end — no timelines
@@ -156,8 +156,8 @@ func open(f *os.File, opts OpenOptions) (*Store, error) {
 			seenMetric[c.metric] = true
 			st.metrics = append(st.metrics, c.metric)
 		}
-		if len(c.chunks) > 0 && (first || c.chunks[0].firstT < st.start) {
-			st.start = c.chunks[0].firstT
+		if len(c.dir) > 0 && (first || c.dir[0].FirstT < st.start) {
+			st.start = c.dir[0].FirstT
 			first = false
 		}
 	}
@@ -251,23 +251,52 @@ func (s *Store) MetricsOf(resource string) []string {
 // point of any column and the recorded end.
 func (s *Store) Window() (start, end float64) { return s.start, s.foot.end }
 
-// Series returns the (resource, metric) column as a Series; missing
-// pairs yield an identically-zero series.
+// Series returns the (resource, metric) column as a Series answered by
+// the trace.Column kernel over its footer directory, paging chunks
+// through the store's cache; missing pairs yield an identically-zero
+// series.
 func (s *Store) Series(resource, metric string) trace.Series {
 	i, ok := s.colIdx[colKey{resource, metric}]
 	if !ok {
 		return &trace.Timeline{}
 	}
-	return &ColumnSeries{s: s, col: i, c: &s.foot.cols[i]}
+	return &columnSeries{s: s, col: i}
+}
+
+// columnSeries is one column's Series. The aggregation engine keeps the
+// series of every member it resolves, so it stays two words and views
+// the column through the kernel per query, on the stack.
+type columnSeries struct {
+	s   *Store
+	col int
+}
+
+func (cs *columnSeries) kernel() trace.Column {
+	return trace.NewColumn(cs.s.foot.cols[cs.col].dir, cs)
+}
+
+func (cs *columnSeries) At(t float64) float64           { k := cs.kernel(); return k.At(t) }
+func (cs *columnSeries) Integrate(a, b float64) float64 { k := cs.kernel(); return k.Integrate(a, b) }
+func (cs *columnSeries) Mean(a, b float64) float64      { k := cs.kernel(); return k.Mean(a, b) }
+func (cs *columnSeries) Max(a, b float64) float64       { k := cs.kernel(); return k.Max(a, b) }
+func (cs *columnSeries) Min(a, b float64) float64       { k := cs.kernel(); return k.Min(a, b) }
+func (cs *columnSeries) FirstTime() float64             { k := cs.kernel(); return k.FirstTime() }
+func (cs *columnSeries) LastTime() float64              { k := cs.kernel(); return k.LastTime() }
+func (cs *columnSeries) Len() int                       { k := cs.kernel(); return k.Len() }
+
+// LoadChunk fetches chunk k through the store's cache; on failure it
+// records the error on the store and the query degrades to the implicit
+// 0.
+func (cs *columnSeries) LoadChunk(k int) (trace.Chunk, bool) {
+	data, err := cs.s.cache.get(cs.col, k, &cs.s.foot.cols[cs.col].blobs[k])
+	if err != nil {
+		cs.s.fail(err)
+		return trace.Chunk{}, false
+	}
+	return data, true
 }
 
 // --- state accessors (footer-resident) ---
-
-// StateAt returns the state of the resource at time t.
-func (s *Store) StateAt(resource string, t float64) string { return s.cat.StateAt(resource, t) }
-
-// HasStates reports whether the resource carries state events.
-func (s *Store) HasStates(resource string) bool { return s.cat.HasStates(resource) }
 
 // StateIntervals returns the resource's state spans clipped to [a, b].
 func (s *Store) StateIntervals(resource string, a, b float64) []trace.StateInterval {
@@ -295,13 +324,13 @@ func (s *Store) ReadAll() (*trace.Trace, error) {
 	}
 	for i := range s.foot.cols {
 		c := &s.foot.cols[i]
-		for k := range c.chunks {
-			data, err := readChunk(s.f, &c.chunks[k])
+		for k := range c.blobs {
+			data, err := readChunk(s.f, &c.blobs[k])
 			if err != nil {
 				return nil, err
 			}
-			for j, t := range data.times {
-				if err := tr.Set(t, c.resource, c.metric, data.values[j]); err != nil {
+			for j, t := range data.Times {
+				if err := tr.Set(t, c.resource, c.metric, data.Values[j]); err != nil {
 					return nil, err
 				}
 			}
@@ -317,198 +346,4 @@ func (s *Store) ReadAll() (*trace.Trace, error) {
 	_, end := s.cat.Window()
 	tr.SetEnd(end)
 	return tr, nil
-}
-
-// ColumnSeries answers the Series queries for one on-disk column. A
-// window resolves through the chunk directory: interior chunks answer
-// from their precomputed prefix sums and min/max without being read;
-// only the (at most two) boundary chunks are fetched, through the
-// store's bounded cache. All methods are safe for concurrent use.
-type ColumnSeries struct {
-	s   *Store
-	col int
-	c   *column
-}
-
-var _ trace.Series = (*ColumnSeries)(nil)
-
-// Len returns the column's total point count.
-func (cs *ColumnSeries) Len() int { return cs.c.points }
-
-// FirstTime returns the time of the first point (0 when empty).
-func (cs *ColumnSeries) FirstTime() float64 {
-	if len(cs.c.chunks) == 0 {
-		return 0
-	}
-	return cs.c.chunks[0].firstT
-}
-
-// LastTime returns the time of the last point (0 when empty).
-func (cs *ColumnSeries) LastTime() float64 {
-	if n := len(cs.c.chunks); n > 0 {
-		return cs.c.chunks[n-1].lastT
-	}
-	return 0
-}
-
-// locate returns the index of the last chunk whose firstT <= t, or -1
-// when t precedes every point.
-func (cs *ColumnSeries) locate(t float64) int {
-	chunks := cs.c.chunks
-	i := sort.Search(len(chunks), func(i int) bool { return chunks[i].firstT > t })
-	return i - 1
-}
-
-// chunk fetches a decoded chunk through the cache; on failure it
-// records the error on the store and returns nil (the query degrades
-// to the implicit 0).
-func (cs *ColumnSeries) chunk(k int) *chunkData {
-	data, err := cs.s.cache.get(cs.col, k, &cs.c.chunks[k])
-	if err != nil {
-		cs.s.fail(err)
-		return nil
-	}
-	return data
-}
-
-// At returns the value of the step function at time t.
-func (cs *ColumnSeries) At(t float64) float64 {
-	k := cs.locate(t)
-	if k < 0 {
-		return 0
-	}
-	m := &cs.c.chunks[k]
-	if t >= m.lastT {
-		return m.lastV // directory answer, no chunk read
-	}
-	data := cs.chunk(k)
-	if data == nil {
-		return 0
-	}
-	i := sort.SearchFloat64s(data.times, t)
-	// SearchFloat64s finds the first index with times[i] >= t; the point
-	// in effect is the last one with times[j] <= t.
-	if i == len(data.times) || data.times[i] > t {
-		i--
-	}
-	if i < 0 {
-		return 0
-	}
-	return data.values[i]
-}
-
-// integrateTo returns the cumulative integral from −∞ to t, mirroring
-// the in-heap index arithmetic exactly: prefix[j] + values[j]*(t −
-// times[j]) with the same absolute prefix values — so Integrate is
-// bit-identical between heap and store.
-func (cs *ColumnSeries) integrateTo(t float64) float64 {
-	k := cs.locate(t)
-	if k < 0 {
-		return 0
-	}
-	m := &cs.c.chunks[k]
-	if t >= m.lastT {
-		return m.prefLast + m.lastV*(t-m.lastT) // directory answer
-	}
-	data := cs.chunk(k)
-	if data == nil {
-		return 0
-	}
-	i := sort.SearchFloat64s(data.times, t)
-	if i == len(data.times) || data.times[i] > t {
-		i--
-	}
-	if i < 0 {
-		return 0
-	}
-	return data.prefix[i] + data.values[i]*(t-data.times[i])
-}
-
-// Integrate returns the exact integral over [a, b] (0 when b <= a).
-func (cs *ColumnSeries) Integrate(a, b float64) float64 {
-	if b <= a || cs.c.points == 0 {
-		return 0
-	}
-	return cs.integrateTo(b) - cs.integrateTo(a)
-}
-
-// Mean returns the time average over [a, b], with the Timeline's window
-// semantics.
-func (cs *ColumnSeries) Mean(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	if b == a {
-		return cs.At(a)
-	}
-	return cs.Integrate(a, b) / (b - a)
-}
-
-// Max returns the maximum value taken anywhere in [a, b]: At(a) plus
-// every point with a < T <= b. Chunks entirely inside the window answer
-// from their directory extrema.
-func (cs *ColumnSeries) Max(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	v := cs.At(a)
-	cs.extrema(a, b, func(lo, hi float64) {
-		if hi > v {
-			v = hi
-		}
-	})
-	return v
-}
-
-// Min returns the minimum value taken anywhere in [a, b], with the same
-// window semantics as Max.
-func (cs *ColumnSeries) Min(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	v := cs.At(a)
-	cs.extrema(a, b, func(lo, hi float64) {
-		if lo < v {
-			v = lo
-		}
-	})
-	return v
-}
-
-// extrema visits the (min, max) of every run of points with a < T <= b:
-// whole-chunk directory entries for interior chunks, decoded scans for
-// the at most two boundary chunks.
-func (cs *ColumnSeries) extrema(a, b float64, visit func(lo, hi float64)) {
-	chunks := cs.c.chunks
-	// First chunk that may contain a point with T > a: the one holding a,
-	// or the first one after it.
-	k := cs.locate(a)
-	if k < 0 {
-		k = 0
-	}
-	for ; k < len(chunks); k++ {
-		m := &chunks[k]
-		if m.firstT > b {
-			return
-		}
-		if m.lastT <= a {
-			continue
-		}
-		if m.firstT > a && m.lastT <= b {
-			visit(m.min, m.max) // interior chunk: directory answer
-			continue
-		}
-		data := cs.chunk(k)
-		if data == nil {
-			continue
-		}
-		lo := sort.SearchFloat64s(data.times, a)
-		// lo is the first index with times >= a; we want strictly > a.
-		for lo < len(data.times) && data.times[lo] <= a {
-			lo++
-		}
-		for i := lo; i < len(data.times) && data.times[i] <= b; i++ {
-			visit(data.values[i], data.values[i])
-		}
-	}
 }

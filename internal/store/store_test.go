@@ -150,7 +150,7 @@ func TestRoundTrip(t *testing.T) {
 	if ws != ss || we != se {
 		t.Fatalf("Window (%g,%g) != (%g,%g)", ss, se, ws, we)
 	}
-	if st.StateAt("h0", 2) != "compute" {
+	if back.StateAt("h0", 2) != "compute" {
 		t.Fatal("state lost in round trip")
 	}
 }

@@ -49,20 +49,22 @@ type WriterOptions struct {
 
 type colKey struct{ resource, metric string }
 
-// colState buffers one column's open chunk plus the running point the
-// prefix recurrence needs. The buffer is flushed only when a strictly
-// later point arrives on a full buffer, so an equal-time overwrite of
-// the last point — the trace model allows it — always lands in the
-// buffer, never in a closed chunk.
+// colState buffers one column's open chunk; its trace.ColumnBuilder runs
+// the prefix recurrence and the chunk statistics. The builder closes a
+// chunk only when a strictly later point arrives on a full one, so an
+// equal-time overwrite of the last point, which the trace model allows,
+// always lands in the buffer, never in a closed chunk.
 type colState struct {
-	resource, metric string
-	times            []float64
-	values           []float64
-	prefix           []float64
-	prevT, prevV     float64 // last appended point
-	pref             float64 // prefix value of the last appended point
-	started          bool
-	chunks           []chunkMeta
+	resource, metric      string
+	times, values, prefix []float64 // the open chunk
+	b                     trace.ColumnBuilder
+	chunks                []chunkEntry
+}
+
+// chunkEntry is one closed chunk's footer directory entry.
+type chunkEntry struct {
+	meta trace.ChunkMeta
+	blob blobRef
 }
 
 // Writer streams a trace into the columnar format. Memory stays
@@ -147,7 +149,7 @@ func (w *Writer) col(resource, metric string) (*colState, error) {
 	k := colKey{resource, metric}
 	c, ok := w.cols[k]
 	if !ok {
-		c = &colState{resource: resource, metric: metric}
+		c = &colState{resource: resource, metric: metric, b: trace.NewColumnBuilder(w.opts.ChunkPoints)}
 		w.cols[k] = c
 		w.colOrder = append(w.colOrder, c)
 	}
@@ -167,27 +169,26 @@ func (w *Writer) Set(t float64, resource, metric string, v float64) error {
 		return fmt.Errorf("store: non-finite value for %s/%s at t=%g", resource, metric, t)
 	}
 	obsCompactEvents.Inc()
+	lastT, _ := c.b.Last()
 	switch {
-	case !c.started:
-		c.append(t, v, 0)
-		c.started = true
-	case t > c.prevT:
-		if len(c.times) >= w.opts.ChunkPoints {
-			if err := w.flush(c); err != nil {
+	case c.b.Len() == 0 || t > lastT:
+		// The heap timeline index's builder, so prefix values, and every
+		// Integrate derived from them, are bit-identical between store
+		// and heap.
+		pref, closed := c.b.Add(t, v)
+		if closed != nil {
+			if err := w.flush(c, closed); err != nil {
 				return err
 			}
 		}
-		// The same left-to-right recurrence the in-heap timeline index
-		// runs, so prefix values — and every Integrate derived from them —
-		// are bit-identical between store and heap.
-		c.append(t, v, c.pref+c.prevV*(t-c.prevT))
-	case t == c.prevT:
-		// Overwrite of the last point; its prefix integrates only up to
-		// t, which did not move, so the buffered prefix stays valid.
+		c.times = append(c.times, t)
+		c.values = append(c.values, v)
+		c.prefix = append(c.prefix, pref)
+	case t == lastT:
 		c.values[len(c.values)-1] = v
-		c.prevV = v
+		c.b.OverwriteLast(v)
 	default:
-		return fmt.Errorf("%w: %s/%s at t=%g after t=%g", ErrOutOfOrder, resource, metric, t, c.prevT)
+		return fmt.Errorf("%w: %s/%s at t=%g after t=%g", ErrOutOfOrder, resource, metric, t, lastT)
 	}
 	if t > w.end {
 		w.end = t
@@ -202,30 +203,17 @@ func (w *Writer) Add(t float64, resource, metric string, dv float64) error {
 	if err != nil {
 		return err
 	}
-	cur := 0.0
-	if c.started {
-		if t < c.prevT {
-			return fmt.Errorf("%w: %s/%s at t=%g after t=%g", ErrOutOfOrder, resource, metric, t, c.prevT)
-		}
-		cur = c.prevV
+	lastT, cur := c.b.Last()
+	if c.b.Len() > 0 && t < lastT {
+		return fmt.Errorf("%w: %s/%s at t=%g after t=%g", ErrOutOfOrder, resource, metric, t, lastT)
 	}
 	return w.Set(t, resource, metric, cur+dv)
 }
 
-func (c *colState) append(t, v, pref float64) {
-	c.times = append(c.times, t)
-	c.values = append(c.values, v)
-	c.prefix = append(c.prefix, pref)
-	c.prevT, c.prevV, c.pref = t, v, pref
-}
-
-// flush closes the column's buffered chunk: encode, compress if that
-// helps, write, record directory metadata.
-func (w *Writer) flush(c *colState) error {
+// flush writes the buffered chunk the builder just closed as meta:
+// encode, compress if that helps, write, record the directory entry.
+func (w *Writer) flush(c *colState, meta *trace.ChunkMeta) error {
 	n := len(c.times)
-	if n == 0 {
-		return nil
-	}
 	w.payload = encodeChunkPayload(w.payload, c.times, c.values, c.prefix)
 
 	enc := uint8(encRaw)
@@ -243,29 +231,7 @@ func (w *Writer) flush(c *colState) error {
 		out = w.cbuf.Bytes()
 	}
 
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, v := range c.values {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	c.chunks = append(c.chunks, chunkMeta{
-		off:       w.off,
-		clen:      uint32(len(out)),
-		ulen:      uint32(24 * n),
-		enc:       enc,
-		count:     uint32(n),
-		firstT:    c.times[0],
-		lastT:     c.times[n-1],
-		lastV:     c.values[n-1],
-		prefFirst: c.prefix[0],
-		prefLast:  c.prefix[n-1],
-		min:       min,
-		max:       max,
-	})
+	c.chunks = append(c.chunks, chunkEntry{*meta, blobRef{off: w.off, clen: uint32(len(out)), ulen: uint32(24 * n), enc: enc}})
 	if _, err := w.w.Write(out); err != nil {
 		return err
 	}
@@ -285,8 +251,10 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	for _, c := range w.colOrder {
-		if err := w.flush(c); err != nil {
-			return err
+		if meta := c.b.Finish(); meta != nil {
+			if err := w.flush(c, meta); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -329,14 +297,14 @@ func (w *Writer) Close() error {
 		e.str(c.metric)
 		e.uvarint(uint64(len(c.chunks)))
 		for i := range c.chunks {
-			m := &c.chunks[i]
-			e.uvarint(m.off)
-			e.uvarint(uint64(m.clen))
-			e.uvarint(uint64(m.ulen))
-			e.uvarint(uint64(m.enc))
-			e.uvarint(uint64(m.count))
-			for _, v := range []float64{m.firstT, m.lastT, m.lastV, m.prefFirst, m.prefLast, m.min, m.max} {
-				e.f64(v)
+			ch := &c.chunks[i]
+			e.uvarint(ch.blob.off)
+			e.uvarint(uint64(ch.blob.clen))
+			e.uvarint(uint64(ch.blob.ulen))
+			e.uvarint(uint64(ch.blob.enc))
+			e.uvarint(uint64(ch.meta.Count))
+			for _, v := range metaFloats(&ch.meta) {
+				e.f64(*v)
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 
 // Replay is a Source that re-emits a finished trace in time order, the
 // in-process stand-in for a live simulator. Its op order is chosen so
-// that (a) every timeline sees strictly monotone appends — the O(log n)
-// index fast path and the LiveWindow cursors never fall back — and
+// that (a) every timeline sees strictly monotone appends, which extend
+// its Eq. 1 index in place and never drop it, and
 // (b) applying every op reproduces the original trace exactly: the final
 // live state serialises byte-identically to the cold trace under
 // trace.Write. That identity is the chaos harness's ground truth.

@@ -19,6 +19,7 @@ func TestIndexIncrementalAppend(t *testing.T) {
 	if got := tl.Integrate(0, 1); got != 1 {
 		t.Fatalf("warm-up Integrate = %g, want 1", got)
 	}
+	ix := tl.idx.Load()
 	time := 0.0
 	for i := 0; i < 300; i++ {
 		switch rng.Intn(4) {
@@ -29,8 +30,8 @@ func TestIndexIncrementalAppend(t *testing.T) {
 			time += rng.Float64() * 3
 			tl.Set(time, rng.NormFloat64()*10)
 		}
-		if tl.idx.Load() == nil {
-			t.Fatalf("step %d: monotone mutation dropped the index", i)
+		if tl.idx.Load() != ix {
+			t.Fatalf("step %d: monotone mutation dropped or rebuilt the index", i)
 		}
 		a := rng.Float64() * time
 		b := rng.Float64() * time
@@ -66,7 +67,7 @@ func TestIndexIncrementalMatchesRebuild(t *testing.T) {
 		time += rng.Float64()
 		live.Set(time, rng.Float64()*5)
 	}
-	fresh := &Timeline{points: live.Points()}
+	fresh := NewTimeline(live.Points()...)
 	for i := 0; i < 50; i++ {
 		a := rng.Float64() * time
 		b := a + rng.Float64()*time
@@ -143,5 +144,53 @@ func TestStatePointsCopy(t *testing.T) {
 	pts[0].Value = "corrupted"
 	if got := tr.StateAt("h", 2); got != "compute" {
 		t.Fatalf("StateAt after mutating copy = %q", got)
+	}
+}
+
+// TestIndexAcrossChunks drives a timeline of more than two default
+// chunks, its index built while it was still one open chunk and
+// extended in place across every chunk close, with windows that start
+// and end exactly on chunk boundaries: At, Max and Min must equal the
+// scans, and Integrate must equal a freshly built index bit for bit.
+func TestIndexAcrossChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tl := &Timeline{}
+	tl.Set(0, 1)
+	_ = tl.Integrate(0, 1) // index the single open chunk, then grow it
+	ix := tl.idx.Load()
+	now := 0.0
+	for tl.Len() < 2*DefaultChunkPoints+DefaultChunkPoints/2 {
+		if rng.Intn(6) > 0 {
+			now += 0.1 + rng.Float64()
+		}
+		tl.Set(now, math.Round(rng.NormFloat64()*40)/4)
+	}
+	if tl.idx.Load() != ix {
+		t.Fatal("monotone growth across chunk closes dropped or rebuilt the index")
+	}
+	if got := len(ix.ext.dir); got != 2 {
+		t.Fatalf("%d closed chunks, want 2", got)
+	}
+	fresh := NewTimeline(tl.Points()...)
+	var bounds []float64
+	for k := 0; k < tl.Len(); k += DefaultChunkPoints {
+		bounds = append(bounds, tl.times[k], tl.times[min(k+DefaultChunkPoints, tl.Len())-1])
+	}
+	bounds = append(bounds, -1, now+1)
+	for _, a := range bounds {
+		for _, b := range bounds {
+			if got, want := tl.At(a), tl.atScan(a); got != want {
+				t.Fatalf("At(%g) = %g, scan %g", a, got, want)
+			}
+			if got, want := tl.Max(a, b), tl.maxScan(a, b); got != want {
+				t.Fatalf("Max(%g, %g) = %g, scan %g", a, b, got, want)
+			}
+			if got, want := tl.Min(a, b), tl.minScan(a, b); got != want {
+				t.Fatalf("Min(%g, %g) = %g, scan %g", a, b, got, want)
+			}
+			if got, want := tl.Integrate(a, b), fresh.Integrate(a, b); got != want {
+				t.Fatalf("Integrate(%g, %g) = %g, rebuilt index %g", a, b, got, want)
+			}
+		}
 	}
 }

@@ -3,9 +3,10 @@ package trace
 // Series is the read side of one (resource, metric) timeline: everything
 // the aggregation engine (Equation 1) and the visualization ask of a
 // piecewise-constant metric function, and nothing about how it is stored.
-// Two implementations exist: the in-heap *Timeline, and the out-of-core
-// store.ColumnSeries that answers the same queries from an on-disk
-// columnar file through a bounded chunk cache.
+// Both implementations answer through the one chunked kernel, *Column:
+// the in-heap *Timeline serves it its own points, and the out-of-core
+// store hands out Columns over an on-disk file's chunk directory, paged
+// through a bounded chunk cache.
 //
 // Every implementation shares the Timeline's window semantics: an
 // inverted window (b < a) is empty and yields 0; the degenerate window

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -13,7 +14,7 @@ import (
 // against a low mutation rate means readers race to rebuild, a high rate
 // overall means timelines churn under the interactive loop.
 var obsIndexBuilds = obs.Default.Counter("viva_trace_index_builds_total",
-	"Lazy timeline aggregation-index builds (prefix sums + extrema tree).")
+	"Lazy timeline aggregation-index builds (prefix sums + chunk directory).")
 
 // Point is one sample of a piecewise-constant timeline: the value V holds
 // from time T (inclusive) until the time of the next point (exclusive).
@@ -41,33 +42,89 @@ type Point struct {
 // published atomically) but, like the Trace that owns it, not for
 // mutation concurrent with anything else.
 type Timeline struct {
-	points []Point
-	// idx is the lazily built aggregation index; nil after any mutation.
+	// times and values are the points as parallel arrays, so a chunk of
+	// the index is a sub-slice, never a copy.
+	times, values []float64
+	// idx is the lazily built aggregation index; nil until the first
+	// windowed query and after an out-of-order insert.
 	idx atomic.Pointer[timelineIndex]
-	// epoch counts the mutations that rewrite history: out-of-order
-	// inserts or overwrites, equal-time overwrites of the last point, and
-	// Compact. Pure monotone appends do not bump it, so incremental
-	// consumers (aggregation.LiveWindow) can keep cursors across appends
-	// and fall back to a full recompute exactly when the past changed.
-	epoch uint64
 }
 
-// Epoch returns the history-rewrite counter: it advances on any mutation
-// other than a strictly-later append, and stays put across the monotone
-// appends of live ingestion.
-func (tl *Timeline) Epoch() uint64 { return tl.epoch }
+// timelineIndex is a timeline's Eq. 1 index: the directory of the
+// chunks its ColumnBuilder closed, plus the absolute prefix of every
+// point. Closed chunk k is points [k·size, (k+1)·size); the points after
+// the directory are the column's open tail.
+//
+// The index is built lazily by the first windowed query. Monotone
+// mutations, appending past the last point or overwriting it, the shape
+// of every Add on advancing time, extend it in place through the same
+// builder, so a live trace keeps serving indexed queries while it grows.
+// An out-of-order insert drops it. Concurrent readers of an unmutated
+// timeline may race to build it; every build is identical, so whichever
+// store wins is correct. The in-place extension relies on mutation being
+// single-writer and never concurrent with reads, like the rest of Trace.
+//
+// Queries read col alone. It sits in a small object of its own so the
+// indexes of many short timelines pack densely in cache; what appends
+// and closed-chunk loads need lives behind ext.
+type timelineIndex struct {
+	col Column
+	ext *indexExt
+}
 
-// index returns the aggregation index, building it if a mutation (or
-// nothing yet) invalidated it. Concurrent readers may build redundantly;
-// the results are identical, so the last store wins harmlessly.
-func (tl *Timeline) index() *timelineIndex {
-	if ix := tl.idx.Load(); ix != nil {
-		return ix
+// indexExt is the rest of a timeline's index.
+type indexExt struct {
+	tl     *Timeline
+	prefix []float64
+	dir    []ChunkMeta
+	b      ColumnBuilder
+}
+
+// add extends the index with the point just appended and refreshes col.
+func (ix *timelineIndex) add(t, v float64) {
+	e := ix.ext
+	pref, closed := e.b.Add(t, v)
+	if closed != nil {
+		e.dir = append(e.dir, *closed)
 	}
-	ix := buildTimelineIndex(tl.points)
+	e.prefix = append(e.prefix, pref)
+	tl := e.tl
+	n := e.b.Len()
+	open := n - e.b.openCount()
+	ix.col = Column{
+		dir:  e.dir,
+		tail: Chunk{tl.times[open:n], tl.values[open:n], e.prefix[open:n]},
+		load: e,
+	}
+}
+
+// LoadChunk serves closed chunk k as sub-slices of the timeline.
+func (e *indexExt) LoadChunk(k int) (Chunk, bool) {
+	lo, hi := k*e.b.size, (k+1)*e.b.size
+	tl := e.tl
+	return Chunk{tl.times[lo:hi:hi], tl.values[lo:hi:hi], e.prefix[lo:hi:hi]}, true
+}
+
+// buildIndex runs the builder over every point with chunks of size
+// points (DefaultChunkPoints when size <= 0) and publishes the result.
+func (tl *Timeline) buildIndex(size int) *timelineIndex {
+	ix := &timelineIndex{ext: &indexExt{tl: tl, prefix: make([]float64, 0, cap(tl.times)), b: NewColumnBuilder(size)}}
+	for i, t := range tl.times {
+		ix.add(t, tl.values[i])
+	}
 	obsIndexBuilds.Inc()
 	tl.idx.Store(ix)
 	return ix
+}
+
+// column returns the kernel's view of the timeline, building the index
+// if nothing built it yet.
+func (tl *Timeline) column() *Column {
+	ix := tl.idx.Load()
+	if ix == nil {
+		ix = tl.buildIndex(0)
+	}
+	return &ix.col
 }
 
 // NewTimeline returns a timeline initialised with the given points, which
@@ -87,36 +144,58 @@ func NewTimeline(points ...Point) *Timeline {
 // accepted (they insert in the middle), but the common fast path is
 // monotonically non-decreasing time. Monotone mutations — appending past
 // the last point or overwriting it — extend a live aggregation index in
-// place (O(log n)); anything else invalidates it and the next windowed
-// query rebuilds.
+// place; an out-of-order insert drops it and the next windowed query
+// rebuilds.
 func (tl *Timeline) Set(t, v float64) {
-	n := len(tl.points)
-	if n == 0 || t > tl.points[n-1].T {
-		tl.points = append(tl.points, Point{t, v})
+	n := len(tl.times)
+	switch {
+	case n == 0 || t > tl.times[n-1]:
+		tl.push(t, v)
 		if ix := tl.idx.Load(); ix != nil {
-			tl.idx.Store(ix.appendPoint(tl.points))
+			ix.add(t, v)
 		}
-		return
-	}
-	if t == tl.points[n-1].T {
-		tl.points[n-1].V = v
-		tl.epoch++
+	case t == tl.times[n-1]:
+		tl.values[n-1] = v
 		if ix := tl.idx.Load(); ix != nil {
-			ix.updateLast(tl.points)
+			ix.ext.b.OverwriteLast(v)
 		}
-		return
+	default:
+		tl.idx.Store(nil)
+		i := sort.SearchFloat64s(tl.times, t)
+		if tl.times[i] == t {
+			tl.values[i] = v
+			return
+		}
+		tl.times = slices.Insert(tl.times, i, t)
+		tl.values = slices.Insert(tl.values, i, v)
 	}
-	tl.idx.Store(nil)
-	tl.epoch++
-	// Out-of-order insert (rare): binary search for position.
-	i := sort.Search(n, func(i int) bool { return tl.points[i].T >= t })
-	if i < n && tl.points[i].T == t {
-		tl.points[i].V = v
-		return
+}
+
+// push appends a point. The arrays grow together in one allocation at
+// the rate append grows a slice of 16-byte points, so a timeline costs
+// what a []Point would: times in its first third, values in its second,
+// and, once the index exists, the index's prefix in the last.
+func (tl *Timeline) push(t, v float64) {
+	if n := len(tl.times); n == cap(tl.times) {
+		c := 2 * n
+		if n >= 256 {
+			c = n + (n+3*256)/4
+		}
+		c = max(c, 1)
+		ix := tl.idx.Load()
+		parts := 2
+		if ix != nil {
+			parts = 3
+		}
+		buf := make([]float64, parts*c)
+		tl.times = append(buf[:0:c], tl.times...)
+		tl.values = append(buf[c:c:2*c], tl.values...)
+		if ix != nil {
+			ix.ext.prefix = append(buf[2*c:2*c], ix.ext.prefix...)
+		}
 	}
-	tl.points = append(tl.points, Point{})
-	copy(tl.points[i+1:], tl.points[i:])
-	tl.points[i] = Point{t, v}
+	tl.times = append(tl.times, t)
+	tl.values = append(tl.values, v)
 }
 
 // Add records that from time t on the value is the value just before t
@@ -126,30 +205,19 @@ func (tl *Timeline) Add(t, dv float64) {
 	tl.Set(t, tl.At(t)+dv)
 }
 
-// At returns the value of the timeline at time t.
+// At returns the value of the timeline at time t. It needs no index: the
+// kernel answers it from the points alone, viewed as one open chunk.
 func (tl *Timeline) At(t float64) float64 {
-	// Fast path: queries at or past the last point — the shape of every
-	// Add on monotonically advancing time during ingestion.
-	if n := len(tl.points); n > 0 && t >= tl.points[n-1].T {
-		return tl.points[n-1].V
-	}
-	i := sort.Search(len(tl.points), func(i int) bool { return tl.points[i].T > t })
-	if i == 0 {
-		return 0
-	}
-	return tl.points[i-1].V
+	c := Column{tail: Chunk{Times: tl.times, Values: tl.values}}
+	return c.At(t)
 }
 
 // Integrate returns ∫_a^b tl(t) dt computed exactly (the timeline is a
 // step function). An empty or degenerate window (b <= a) has measure 0.
-// The query costs two binary searches over the cumulative-integral index,
-// O(log n), independent of how many points the window spans.
+// It costs two point lookups in the index, independent of how many points
+// the window spans.
 func (tl *Timeline) Integrate(a, b float64) float64 {
-	if b <= a || len(tl.points) == 0 {
-		return 0
-	}
-	ix := tl.index()
-	return ix.integrateTo(tl.points, b) - ix.integrateTo(tl.points, a)
+	return tl.column().Integrate(a, b)
 }
 
 // Mean returns the time average of the timeline over [a, b]; it is the
@@ -158,174 +226,70 @@ func (tl *Timeline) Integrate(a, b float64) float64 {
 // degenerate window [a, a] yields the instantaneous value At(a), the
 // limit of the mean as the width goes to 0.
 func (tl *Timeline) Mean(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	if b == a {
-		return tl.At(a)
-	}
-	return tl.Integrate(a, b) / (b - a)
+	return tl.column().Mean(a, b)
 }
 
 // Max returns the maximum value the timeline takes anywhere in [a, b],
 // including the implicit 0 before the first point when the window starts
 // there. An inverted window (b < a) is empty and yields 0; [a, a] yields
-// At(a). The extrema come from the segment index in O(log n).
+// At(a). Closed chunks inside the window answer from the index directory;
+// the boundary chunks are scanned.
 func (tl *Timeline) Max(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	v := tl.At(a)
-	l, r := tl.windowPoints(a, b)
-	if l < r {
-		if mm := tl.index().extrema(l, r); mm.max > v {
-			v = mm.max
-		}
-	}
-	return v
+	return tl.column().Max(a, b)
 }
 
 // Min returns the minimum value the timeline takes anywhere in [a, b],
 // with the same window semantics as Max.
 func (tl *Timeline) Min(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	v := tl.At(a)
-	l, r := tl.windowPoints(a, b)
-	if l < r {
-		if mm := tl.index().extrema(l, r); mm.min < v {
-			v = mm.min
-		}
-	}
-	return v
-}
-
-// windowPoints returns the half-open index range [l, r) of points with
-// a < T <= b — the points whose values appear inside the window beyond
-// the initial segment At(a) covers.
-func (tl *Timeline) windowPoints(a, b float64) (l, r int) {
-	l = sort.Search(len(tl.points), func(i int) bool { return tl.points[i].T > a })
-	r = sort.Search(len(tl.points), func(i int) bool { return tl.points[i].T > b })
-	return l, r
-}
-
-// integrateScan is the direct O(n) reference implementation of Integrate,
-// kept for the indexed-vs-scan equivalence property tests.
-func (tl *Timeline) integrateScan(a, b float64) float64 {
-	if b <= a || len(tl.points) == 0 {
-		return 0
-	}
-	var sum float64
-	// Position of the first point strictly after a.
-	i := sort.Search(len(tl.points), func(i int) bool { return tl.points[i].T > a })
-	cur := a
-	val := 0.0
-	if i > 0 {
-		val = tl.points[i-1].V
-	}
-	for ; i < len(tl.points) && tl.points[i].T < b; i++ {
-		sum += val * (tl.points[i].T - cur)
-		cur = tl.points[i].T
-		val = tl.points[i].V
-	}
-	sum += val * (b - cur)
-	return sum
-}
-
-// maxScan and minScan are the direct O(n) references for Max and Min.
-func (tl *Timeline) maxScan(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	max := tl.At(a)
-	i := sort.Search(len(tl.points), func(i int) bool { return tl.points[i].T > a })
-	for ; i < len(tl.points) && tl.points[i].T <= b; i++ {
-		if tl.points[i].V > max {
-			max = tl.points[i].V
-		}
-	}
-	return max
-}
-
-func (tl *Timeline) minScan(a, b float64) float64 {
-	if b < a {
-		return 0
-	}
-	min := tl.At(a)
-	i := sort.Search(len(tl.points), func(i int) bool { return tl.points[i].T > a })
-	for ; i < len(tl.points) && tl.points[i].T <= b; i++ {
-		if tl.points[i].V < min {
-			min = tl.points[i].V
-		}
-	}
-	return min
+	return tl.column().Min(a, b)
 }
 
 // Len returns the number of stored points.
-func (tl *Timeline) Len() int { return len(tl.points) }
+func (tl *Timeline) Len() int { return len(tl.times) }
 
-// PointAt returns the i-th stored point without copying the slice — the
-// accessor incremental consumers walk the growing tail with. i must be in
-// [0, Len()).
-func (tl *Timeline) PointAt(i int) Point { return tl.points[i] }
+// PointAt returns the i-th stored point without copying the arrays. i
+// must be in [0, Len()).
+func (tl *Timeline) PointAt(i int) Point { return Point{tl.times[i], tl.values[i]} }
 
 // Points returns a copy of the stored points in time order.
 func (tl *Timeline) Points() []Point {
-	out := make([]Point, len(tl.points))
-	copy(out, tl.points)
+	out := make([]Point, len(tl.times))
+	for i, t := range tl.times {
+		out[i] = Point{t, tl.values[i]}
+	}
 	return out
 }
 
 // FirstTime returns the time of the first point, or 0 for an empty
 // timeline.
 func (tl *Timeline) FirstTime() float64 {
-	if len(tl.points) == 0 {
+	if len(tl.times) == 0 {
 		return 0
 	}
-	return tl.points[0].T
+	return tl.times[0]
 }
 
 // LastTime returns the time of the last point, or 0 for an empty timeline.
 func (tl *Timeline) LastTime() float64 {
-	if len(tl.points) == 0 {
+	if len(tl.times) == 0 {
 		return 0
 	}
-	return tl.points[len(tl.points)-1].T
+	return tl.times[len(tl.times)-1]
 }
 
 // Clone returns an independent copy of the timeline.
 func (tl *Timeline) Clone() *Timeline {
-	return &Timeline{points: tl.Points()}
-}
-
-// Compact merges consecutive points that carry the same value, preserving
-// the function the timeline denotes while shrinking storage. It returns
-// the receiver for chaining.
-func (tl *Timeline) Compact() *Timeline {
-	tl.idx.Store(nil)
-	tl.epoch++
-	if len(tl.points) == 0 {
-		return tl
-	}
-	out := tl.points[:1]
-	for _, p := range tl.points[1:] {
-		if p.V != out[len(out)-1].V {
-			out = append(out, p)
-		}
-	}
-	tl.points = out
-	return tl
+	return &Timeline{times: slices.Clone(tl.times), values: slices.Clone(tl.values)}
 }
 
 // String renders the timeline compactly, mainly for tests and debugging.
 func (tl *Timeline) String() string {
 	s := "["
-	for i, p := range tl.points {
+	for i, t := range tl.times {
 		if i > 0 {
 			s += " "
 		}
-		s += fmt.Sprintf("%g:%g", p.T, p.V)
+		s += fmt.Sprintf("%g:%g", t, tl.values[i])
 	}
 	return s + "]"
 }

@@ -73,9 +73,9 @@ type Trace struct {
 	edgeSet   map[Edge]bool
 	states    map[string][]statePoint
 	// The observation window: start is the earliest point of any
-	// timeline, tracked as points are written (points never leave the
-	// front of a timeline: Compact keeps the first), hasStart whether one
-	// was written yet; end is the upper bound.
+	// timeline, tracked as points are written (points never leave a
+	// timeline), hasStart whether one was written yet; end is the upper
+	// bound.
 	start    float64
 	hasStart bool
 	end      float64

@@ -53,45 +53,23 @@ STORE_PATTERN="${2:-BenchmarkStoreCompact|BenchmarkStoreQuery}"
 # publisher tick over a prepared batch (apply, window, encode, publish).
 STREAM_PATTERN="${2:-BenchmarkStreamFanout|BenchmarkPublisherTick}"
 
-# to_json RAW OUT — convert `go test -bench` output lines like
-#   BenchmarkFoo/n=1024/p=4-8   123   456789 ns/op   10 B/op   2 allocs/op
-# into the committed JSON trajectory format, and append the same results
-# as one {"time", "suite", "benchtime", "benchmarks"} line to
-# BENCH_history.jsonl.
-to_json() {
-    awk '
-BEGIN { print "{"; printf "  \"benchmarks\": [\n"; first = 1 }
-/^Benchmark/ && /ns\/op/ {
-    name = $1; sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = "null"; allocs = "null"; evs = "null"; heap = "null"; p99 = "null"; conv = "null"; stp = "null"
-    for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")      ns = $(i-1)
-        if ($i == "B/op")       bytes = $(i-1)
-        if ($i == "allocs/op")  allocs = $(i-1)
-        if ($i == "events/sec") evs = $(i-1)
-        if ($i == "heap-bytes") heap = $(i-1)
-        if ($i == "p99-push-ms") p99 = $(i-1)
-        if ($i == "ms-to-conv") conv = $(i-1)
-        if ($i == "steps")      stp = $(i-1)
-    }
-    if (ns == "") next
-    if (!first) printf ",\n"
-    first = 0
-    printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", name, ns, bytes, allocs
-    if (evs != "null") printf ", \"events_per_sec\": %s", evs
-    if (heap != "null") printf ", \"heap_bytes\": %s", heap
-    if (p99 != "null") printf ", \"p99_push_ms\": %s", p99
-    if (conv != "null") printf ", \"ms_to_converged\": %s", conv
-    if (stp != "null") printf ", \"steps_to_converged\": %s", stp
-    printf "}"
-}
-END { printf "\n  ]\n}\n" }
-' "$1" > "$2"
-    echo "wrote $2 ($(grep -c '"name"' "$2") benchmarks)" >&2
+# The machine and commit every history line is stamped with: a number
+# means little without the Go version, CPU count, GOMAXPROCS and source
+# it was measured on. A tree with uncommitted changes is marked -dirty.
+GO_VERSION="$(go env GOVERSION)"
+NPROC="$(nproc)"
+MAXPROCS="${GOMAXPROCS:-$NPROC}"
+COMMIT=unknown
+if c="$(git rev-parse --short HEAD 2>/dev/null)"; then
+    COMMIT="$c"
+    git diff --quiet HEAD || COMMIT="$c-dirty"
+fi
 
-    suite="${2#BENCH_}"; suite="${suite%.json}"
-    awk -v time="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v suite="$suite" -v benchtime="$BENCHTIME" '
-BEGIN { printf "{\"time\": \"%s\", \"suite\": \"%s\", \"benchtime\": \"%s\", \"benchmarks\": [", time, suite, benchtime; first = 1 }
+# bench_objects RAW — convert `go test -bench` output lines like
+#   BenchmarkFoo/n=1024/p=4-8   123   456789 ns/op   10 B/op   2 allocs/op
+# into one JSON object per benchmark, one per line.
+bench_objects() {
+    awk '
 /^Benchmark/ && /ns\/op/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     ns = ""; bytes = "null"; allocs = "null"; evs = "null"; heap = "null"; p99 = "null"; conv = "null"; stp = "null"
@@ -106,18 +84,34 @@ BEGIN { printf "{\"time\": \"%s\", \"suite\": \"%s\", \"benchtime\": \"%s\", \"b
         if ($i == "steps")      stp = $(i-1)
     }
     if (ns == "") next
-    if (!first) printf ", "
-    first = 0
     printf "{\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", name, ns, bytes, allocs
     if (evs != "null") printf ", \"events_per_sec\": %s", evs
     if (heap != "null") printf ", \"heap_bytes\": %s", heap
     if (p99 != "null") printf ", \"p99_push_ms\": %s", p99
     if (conv != "null") printf ", \"ms_to_converged\": %s", conv
     if (stp != "null") printf ", \"steps_to_converged\": %s", stp
-    printf "}"
+    printf "}\n"
 }
-END { print "]}" }
-' "$1" >> BENCH_history.jsonl
+' "$1"
+}
+
+# to_json RAW OUT — write the benchmarks in RAW as the committed JSON
+# trajectory file OUT, and append the same results as one {"time",
+# "suite", "benchtime", "go", "nproc", "gomaxprocs", "commit",
+# "benchmarks"} line to BENCH_history.jsonl.
+to_json() {
+    objs="$(bench_objects "$1")"
+    {
+        printf '{\n  "benchmarks": [\n'
+        [ -n "$objs" ] && printf '%s\n' "$objs" | sed 's/^/    /; $!s/$/,/'
+        printf '  ]\n}\n'
+    } > "$2"
+    echo "wrote $2 ($(grep -c '"name"' "$2") benchmarks)" >&2
+
+    suite="${2#BENCH_}"; suite="${suite%.json}"
+    printf '{"time": "%s", "suite": "%s", "benchtime": "%s", "go": "%s", "nproc": %s, "gomaxprocs": %s, "commit": "%s", "benchmarks": [%s]}\n' \
+        "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$suite" "$BENCHTIME" "$GO_VERSION" "$NPROC" "$MAXPROCS" "$COMMIT" \
+        "$(printf '%s\n' "$objs" | awk 'NF { if (n++) printf ", "; printf "%s", $0 }')" >> BENCH_history.jsonl
 }
 
 SUITES="${BENCH_SUITES:-layout aggregation fault obs ingest sim store stream}"
