@@ -77,9 +77,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		obs.Frames.SetSink(st)
+		obs.Frames.Attach(st)
 		defer func() {
-			obs.Frames.SetSink(nil)
+			obs.Frames.Detach(st)
 			if err := st.Close(); err != nil {
 				slog.Error("viva: selftrace close failed", "err", err)
 			}

@@ -24,11 +24,13 @@
 // heap stays O(cache size) regardless of trace size.
 //
 // Then open http://localhost:8844 in a browser. The server observes
-// itself: GET /metrics serves Prometheus text, GET /api/obs/frames the
-// per-stage frame-timing ring; -pprof additionally mounts
-// /debug/pprof/. With -selftrace the pipeline spans are also written as
-// a Paje trace, so `viva -trace self.paje` visualizes this very server's
-// execution.
+// itself: every pipeline stage span — request-path stages, live hops and
+// whole frames — lands in a viva_stage_seconds{stage=...} histogram on
+// GET /metrics, and GET /api/obs/frames serves the per-stage
+// frame-timing ring; -pprof additionally mounts /debug/pprof/. With
+// -selftrace the same spans are also written as a Paje trace, so `viva
+// -trace self.paje` visualizes this very server's execution, and
+// -selfstream serves them live on /api/stream/self.
 package main
 
 import (
@@ -60,7 +62,7 @@ func main() {
 	edges := flag.String("edges", "", "connection configuration file for traces without topology edges")
 	parallel := flag.Int("parallel", 0, "worker goroutines for trace ingestion, the layout step and the aggregation graph build (0: GOMAXPROCS, 1: serial; same output either way)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	trackAllocs := flag.Bool("track-allocs", false, "record per-stage heap-alloc deltas in the frame ring (small per-span cost)")
+	trackAllocs := flag.Bool("track-allocs", false, "record per-stage heap-alloc deltas in the frame ring: the process-wide /gc/heap/allocs:bytes counter across each span, so concurrent work (live ticks, other requests) counts toward the stage (small per-span cost)")
 	selftrace := flag.String("selftrace", "", "write the pipeline's own spans as a Paje trace to this file")
 	obsDump := flag.Bool("obs", false, "print an observability summary to stderr on exit")
 	live := flag.Bool("live", false, "replay -trace as a live stream on /api/stream instead of serving it frozen")
@@ -87,17 +89,17 @@ func main() {
 	if *live && *tracePath == "" {
 		fatal(fmt.Errorf("-live needs -trace (replay a finished trace live)"))
 	}
-	// The self-trace sink is attached before the trace loads, so the
-	// ingest span of the load itself is part of the meta-trace.
+	// The self-trace is attached before the trace loads, so the ingest
+	// span of the load itself is part of the meta-trace.
 	obs.Frames.TrackAllocs(*trackAllocs)
 	if *selftrace != "" {
 		st, err := obs.StartSelfTrace(*selftrace)
 		if err != nil {
 			fatal(err)
 		}
-		obs.Frames.SetSink(st)
+		obs.Frames.Attach(st)
 		defer func() {
-			obs.Frames.SetSink(nil)
+			obs.Frames.Detach(st)
 			if err := st.Close(); err != nil {
 				slog.Error("vivaserve: selftrace close failed", "err", err)
 			}
@@ -202,7 +204,7 @@ func main() {
 		// The span feed turns every pipeline stage span into a live trace
 		// op; a second publisher streams it on /api/stream/self.
 		feed := obs.NewSpanFeed(4096)
-		obs.Frames.SetFeed(feed)
+		obs.Frames.Attach(feed)
 		selfSt, err := stream.New(stream.NewSelfSource(feed),
 			stream.Config{Tick: *streamTick, MaxSubscribers: *streamMax})
 		if err != nil {

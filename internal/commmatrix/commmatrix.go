@@ -102,19 +102,6 @@ func (m *Matrix) GroupBy(groupOf func(name string) string) *Matrix {
 	return out
 }
 
-// NonZeroCells returns how many cells carry traffic.
-func (m *Matrix) NonZeroCells() int {
-	n := 0
-	for _, row := range m.Bytes {
-		for _, v := range row {
-			if v != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // TopPairs returns the k heaviest (src, dst, bytes) triples, sorted by
 // decreasing volume (ties broken by name for determinism).
 func (m *Matrix) TopPairs(k int) []Pair {

@@ -122,3 +122,17 @@ func TestFromSimulation(t *testing.T) {
 		t.Errorf("TopPairs = %v", top)
 	}
 }
+
+// NonZeroCells returns how many cells carry traffic. Only tests ask, so
+// it lives here.
+func (m *Matrix) NonZeroCells() int {
+	n := 0
+	for _, row := range m.Bytes {
+		for _, v := range row {
+			if v != 0 {
+				n++
+			}
+		}
+	}
+	return n
+}

@@ -27,8 +27,8 @@ func RunRingAllreduce(hosts, rounds int) (*sim.Engine, error) {
 	p := platform.SyntheticFabric(hosts)
 	e := sim.New(p, nil)
 	const (
-		chunk = 8e6   // 8 MB per ring hop
-		flops = 4e8   // 0.05 s of local reduction on the 8 GFlops hosts
+		chunk = 8e6 // 8 MB per ring hop
+		flops = 4e8 // 0.05 s of local reduction on the 8 GFlops hosts
 	)
 	for pod := 0; ; pod++ {
 		rack0 := platform.FabricRackName(pod, 0)

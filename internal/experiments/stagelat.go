@@ -16,9 +16,9 @@ import (
 )
 
 // stageLatStages is the live path in hop order: source enqueue to tick
-// start, op apply, window aggregation, snapshot encode, hub fan-out, and
-// the SSE write into the client socket.
-var stageLatStages = []string{"intake", "apply", "aggregate", "encode", "fanout", "write"}
+// start, op apply, the Eq. 1 window advance with its group sums, snapshot
+// encode, hub fan-out, and the SSE write into the client socket.
+var stageLatStages = []string{"intake", "apply", "window", "encode", "fanout", "write"}
 
 // StageLat measures where a live update spends its time on the way from
 // the source to a client. It runs the real deployment shape — replay
@@ -111,7 +111,7 @@ func StageLat(opts Options) (*Result, error) {
 		return delta
 	}
 	for _, st := range stageLatStages {
-		name := `viva_stream_stage_seconds{stage="` + st + `"}`
+		name := `viva_stage_seconds{stage="` + st + `"}`
 		if row(st, name) == 0 {
 			covered = false
 			if coverDetail == "" {
@@ -119,7 +119,7 @@ func StageLat(opts Options) (*Result, error) {
 			}
 		}
 		switch st {
-		case "apply", "aggregate", "encode":
+		case "apply", "window", "encode":
 			if p99 := after[name].P99; p99 > 0.25 {
 				interior = false
 				if interiorDetail == "" {
@@ -147,7 +147,7 @@ func StageLat(opts Options) (*Result, error) {
 		coverDetail = "all six hops plus delivery lag recorded observations"
 	}
 	if interiorDetail == "" {
-		interiorDetail = "apply/aggregate/encode p99 all far under the 250ms push target"
+		interiorDetail = "apply/window/encode p99 all far under the 250ms push target"
 	}
 	res.Checks = append(res.Checks,
 		check("every hop instrumented", covered, "%s", coverDetail),

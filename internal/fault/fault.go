@@ -152,20 +152,6 @@ func (s *Schedule) Len() int {
 	return len(s.events)
 }
 
-// Targets returns the sorted set of resource names the schedule touches.
-func (s *Schedule) Targets() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, ev := range s.events {
-		if !seen[ev.Target] {
-			seen[ev.Target] = true
-			out = append(out, ev.Target)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // The text format is one event per line, '#' comments and blank lines
 // ignored:
 //

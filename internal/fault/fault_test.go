@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -154,4 +155,19 @@ func TestChurnPairsDownWithUp(t *testing.T) {
 	if !reflect.DeepEqual(downs, ups) {
 		t.Fatalf("crashes and recoveries unmatched: down=%v up=%v", downs, ups)
 	}
+}
+
+// Targets returns the sorted set of resource names the schedule touches.
+// Only tests ask, so it lives here.
+func (s *Schedule) Targets() []string {
+	seen := make(map[string]bool)
+	var out []string
+	for _, ev := range s.events {
+		if !seen[ev.Target] {
+			seen[ev.Target] = true
+			out = append(out, ev.Target)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

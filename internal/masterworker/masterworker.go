@@ -81,16 +81,6 @@ type Stats struct {
 	FailedWorkers []int // worker indices declared dead, ascending
 }
 
-// CommRatio returns the application's communication-to-computation ratio
-// expressed in bytes per flop, the knob the paper turns between its two
-// competing applications.
-func (a *App) CommRatio() float64 {
-	if a.TaskFlops == 0 {
-		return 0
-	}
-	return a.TaskBytes / a.TaskFlops
-}
-
 func (a *App) validate() error {
 	if a.Name == "" {
 		return fmt.Errorf("masterworker: app needs a name")

@@ -381,3 +381,13 @@ func TestFaultTolerantHealthyRun(t *testing.T) {
 			stats.TasksDone, stats.Requeued, stats.FailedWorkers)
 	}
 }
+
+// CommRatio returns the application's communication-to-computation ratio
+// expressed in bytes per flop, the knob the paper turns between its two
+// competing applications. Only tests ask, so it lives here.
+func (a *App) CommRatio() float64 {
+	if a.TaskFlops == 0 {
+		return 0
+	}
+	return a.TaskBytes / a.TaskFlops
+}

@@ -8,13 +8,12 @@ import (
 
 // BenchmarkObsOverhead measures the full per-iteration cost an
 // instrumented hot loop pays: one counter increment plus one span
-// start/stop recording into an open frame. The contract is 0 allocs/op
-// and a few tens of nanoseconds — cheap enough to leave on in the layout
-// step and the simulation event loop.
+// start/stop recording into an open frame and its stage histogram. The
+// contract is 0 allocs/op and a few tens of nanoseconds — cheap enough
+// to leave on in the layout step and the simulation event loop.
 func BenchmarkObsOverhead(b *testing.B) {
 	r := obs.NewRegistry()
 	c := r.Counter("bench_hot_total", "hot-loop counter")
-	h := r.Histogram("bench_stage_seconds", "stage histogram", nil)
 	ring := obs.NewRing(256)
 	seq := ring.BeginFrame()
 	defer ring.EndFrame(seq)
@@ -24,8 +23,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 		c.Inc()
 		sp := ring.StartSpan(obs.StageLayout)
 		sp.End()
-		clock := obs.StartStageClock(uint64(i))
-		clock.Mark(h)
 	}
 }
 
@@ -52,7 +49,7 @@ func BenchmarkObsCounter(b *testing.B) {
 }
 
 // BenchmarkObsSpanNoFrame measures the span cost when no frame is open —
-// what batch tools pay for instrumentation they don't use.
+// what batch tools pay: two clock reads and the stage histogram.
 func BenchmarkObsSpanNoFrame(b *testing.B) {
 	ring := obs.NewRing(256)
 	b.ReportAllocs()

@@ -1,68 +1,82 @@
-// Frame spans: where does one interactive frame's budget go? The server
-// brackets each /api/graph frame with BeginFrame/EndFrame; the pipeline
-// stages (aggregation, graph build, layout step, render) wrap their work
-// in StartSpan/End pairs. Spans landing inside an open frame accumulate
-// per-stage wall time, call counts and (optionally) heap-alloc deltas in
-// a bounded lock-free ring the /api/obs/frames endpoint snapshots.
-// Spans outside any frame (batch tools, benchmarks) cost two clock reads
-// and are dropped — unless a self-trace sink is attached, which receives
-// every span (see selftrace.go).
+// Stage spans: where does one interactive frame's budget, or one live
+// tick, go? The server brackets each /api/graph frame with
+// BeginFrame/EndFrame; the pipeline stages (aggregation, graph build,
+// layout step, render) wrap their work in StartSpan/End pairs, and the
+// live pipeline hands its already-measured hops to Emit.
+//
+// Every stage duration takes one path, fanout: the stage's
+// viva_stage_seconds histogram observes it, then every subscriber
+// attached to the ring (the Paje meta-trace, the live span feed) gets
+// it. A span ended inside an open frame also accumulates per-stage wall
+// time, call counts and (optionally) heap-alloc deltas in a bounded
+// lock-free ring the /api/obs/frames endpoint snapshots; Emit skips the
+// frame, so live ticks never pollute interactive frames.
 
 package obs
 
 import (
 	"runtime/metrics"
+	"slices"
+	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // MaxStages bounds the stage table; stage slots live inline in every ring
 // frame, so the table is small and fixed.
 const MaxStages = 16
 
-var stageNames atomic.Pointer[[]string]
+// stageEntry is one registered stage: its name and its histogram.
+type stageEntry struct {
+	name string
+	hist *Histogram
+}
+
+var (
+	stagesMu sync.Mutex // serializes RegisterStage
+	stages   atomic.Pointer[[]stageEntry]
+)
 
 // StageID indexes a registered pipeline stage.
 type StageID int32
 
-// RegisterStage interns a stage name, returning its id (idempotent).
+const stageHelp = "Wall time of one pipeline stage span: request-path stages, live hops and whole frames."
+
+// RegisterStage interns a stage name, returning its id (idempotent), and
+// creates its viva_stage_seconds{stage=<name>} histogram in Default.
 // It panics past MaxStages — stages are a small fixed vocabulary.
 func RegisterStage(name string) StageID {
-	for {
-		old := stageNames.Load()
-		if old != nil {
-			for i, n := range *old {
-				if n == name {
-					return StageID(i)
-				}
-			}
-		}
-		var next []string
-		if old != nil {
-			next = append(next, *old...)
-		}
-		if len(next) >= MaxStages {
-			panic("obs: too many stages: " + name)
-		}
-		next = append(next, name)
-		if stageNames.CompareAndSwap(old, &next) {
-			return StageID(len(next) - 1)
+	stagesMu.Lock()
+	defer stagesMu.Unlock()
+	var cur []stageEntry
+	if p := stages.Load(); p != nil {
+		cur = *p
+	}
+	for i, st := range cur {
+		if st.name == name {
+			return StageID(i)
 		}
 	}
+	if len(cur) >= MaxStages {
+		panic("obs: too many stages: " + name)
+	}
+	h := Default.Histogram(`viva_stage_seconds{stage="`+name+`"}`, stageHelp, nil)
+	next := append(slices.Clip(cur), stageEntry{name, h})
+	stages.Store(&next)
+	return StageID(len(next) - 1)
 }
 
-// StageName returns the name a stage id was registered under.
+// StageName returns the name a stage id was registered under, or "" for
+// an id no stage has.
 func StageName(id StageID) string {
-	names := stageNames.Load()
-	if names == nil || int(id) < 0 || int(id) >= len(*names) {
+	all := *stages.Load()
+	if int(id) < 0 || int(id) >= len(all) {
 		return ""
 	}
-	return (*names)[id]
+	return all[id].name
 }
 
 // The pipeline's own stages, in frame order. Ingest runs before any frame
-// exists, so its spans only surface through a self-trace sink — but its
-// totals also land in the viva_ingest_* counters.
+// exists, so its spans reach only the histogram and the subscribers.
 var (
 	StageIngest    = RegisterStage("ingest")
 	StageCompact   = RegisterStage("compact")
@@ -73,23 +87,27 @@ var (
 	StageRender    = RegisterStage("render")
 )
 
-// The live pipeline's stages, in hop order source→client. These never
-// land in interactive frames — they reach the meta-trace via EmitSpan
-// and per-stage latency histograms via StageClock.Mark.
+// The live pipeline's stages, in hop order source→client. They go
+// through Emit, so they never land in interactive frames.
 var (
 	StageIntake = RegisterStage("intake")
 	StageApply  = RegisterStage("apply")
+	StageWindow = RegisterStage("window")
 	StageEncode = RegisterStage("encode")
 	StageFanout = RegisterStage("fanout")
 	StageWrite  = RegisterStage("write")
 )
+
+// StageFrame is a whole interactive frame, BeginFrame to EndFrame. It
+// reaches the histogram and the subscribers, never a frame's own stages.
+var StageFrame = RegisterStage("frame")
 
 // frameSlot is one ring entry. seq tags which frame currently occupies
 // the slot, so late spans from an evicted frame cannot corrupt its
 // successor; end stays 0 while the frame is open.
 type frameSlot struct {
 	seq   atomic.Uint64
-	start atomic.Int64 // ns since ring epoch
+	start atomic.Int64 // NowNs clock
 	end   atomic.Int64
 
 	ns    [MaxStages]atomic.Int64
@@ -97,16 +115,16 @@ type frameSlot struct {
 	bytes [MaxStages]atomic.Int64
 }
 
-// Ring is the bounded frame-timing buffer. All methods are safe for
-// concurrent use and allocation-free except the snapshots.
+// Ring is the bounded frame-timing buffer and the owner of the span
+// fan-out's subscriber list. All methods are safe for concurrent use and
+// allocation-free except the snapshots and Attach/Detach.
 type Ring struct {
-	slots []frameSlot
-	seq   atomic.Uint64 // last BeginFrame's number; 0 = never
-	epoch time.Time
+	slots  []frameSlot
+	seq    atomic.Uint64 // last BeginFrame's number; 0 = never
+	subsMu sync.Mutex    // serializes Attach/Detach
+	subs   atomic.Pointer[[]Subscriber]
 
 	trackAllocs atomic.Bool
-	sink        atomic.Pointer[SelfTrace]
-	feed        atomic.Pointer[SpanFeed]
 }
 
 // NewRing returns a ring holding the last n frames (n < 1 means 256).
@@ -114,20 +132,57 @@ func NewRing(n int) *Ring {
 	if n < 1 {
 		n = 256
 	}
-	return &Ring{slots: make([]frameSlot, n), epoch: time.Now()}
+	r := &Ring{slots: make([]frameSlot, n)}
+	r.subs.Store(new([]Subscriber))
+	return r
 }
 
 // Frames is the process-wide ring the server and the default StartSpan
 // record into.
 var Frames = NewRing(256)
 
-// TrackAllocs toggles heap-allocation deltas on spans. Each span then
-// costs two runtime/metrics reads on top of the clock reads; off (the
-// default) keeps the hot path at ~tens of nanoseconds.
+// TrackAllocs toggles heap-allocation deltas on spans: each span then
+// reads the process-wide /gc/heap/allocs:bytes counter at its start and
+// end, so whatever else allocated meanwhile (live ticks, other requests)
+// is attributed to the stage too. It costs two runtime/metrics reads per
+// span; off (the default) keeps the hot path at ~tens of nanoseconds.
 func (r *Ring) TrackAllocs(on bool) { r.trackAllocs.Store(on) }
 
-// now returns nanoseconds since the ring epoch, monotonic.
-func (r *Ring) now() int64 { return int64(time.Since(r.epoch)) }
+// A Subscriber receives every stage duration fanned out through the ring
+// it is attached to, after the stage's histogram has observed it: the
+// stage, the end stamp (NowNs clock) and the duration in nanoseconds. It
+// runs on the producer's goroutine, so it must not block.
+type Subscriber interface {
+	Record(stage StageID, atNs, durNs int64)
+}
+
+// Attach adds a subscriber to the ring's fan-out. The list is copied on
+// every edit, so fanout reads it with one atomic load and no lock.
+func (r *Ring) Attach(s Subscriber) {
+	r.subsMu.Lock()
+	defer r.subsMu.Unlock()
+	next := append(slices.Clip(*r.subs.Load()), s)
+	r.subs.Store(&next)
+}
+
+// Detach removes a subscriber; a span already past the list load may
+// still reach it.
+func (r *Ring) Detach(s Subscriber) {
+	r.subsMu.Lock()
+	defer r.subsMu.Unlock()
+	next := slices.DeleteFunc(slices.Clone(*r.subs.Load()), func(x Subscriber) bool { return x == s })
+	r.subs.Store(&next)
+}
+
+// fanout is the one path every stage duration takes — Span.End, Emit
+// and EndFrame all end here: the stage's viva_stage_seconds histogram
+// observes it, then each attached subscriber gets it.
+func (r *Ring) fanout(stage StageID, atNs, durNs int64) {
+	(*stages.Load())[stage].hist.Observe(float64(durNs) / 1e9)
+	for _, s := range *r.subs.Load() {
+		s.Record(stage, atNs, durNs)
+	}
+}
 
 // BeginFrame opens the next frame and returns its sequence number.
 func (r *Ring) BeginFrame() uint64 {
@@ -140,22 +195,21 @@ func (r *Ring) BeginFrame() uint64 {
 		slot.bytes[i].Store(0)
 	}
 	slot.end.Store(0)
-	slot.start.Store(r.now())
+	slot.start.Store(NowNs())
 	slot.seq.Store(s)
 	return s
 }
 
-// EndFrame closes the frame opened by the matching BeginFrame.
+// EndFrame closes the frame opened by the matching BeginFrame and fans
+// its duration out as the frame stage.
 func (r *Ring) EndFrame(seq uint64) {
 	slot := &r.slots[seq%uint64(len(r.slots))]
 	if slot.seq.Load() != seq {
 		return // already evicted by a wrapped ring
 	}
-	end := r.now()
+	end := NowNs()
 	slot.end.Store(end)
-	if st := r.sink.Load(); st != nil {
-		st.record("frame", end-slot.start.Load())
-	}
+	r.fanout(StageFrame, end, end-slot.start.Load())
 }
 
 // Span is one in-flight stage measurement. It is a value: starting and
@@ -169,7 +223,7 @@ type Span struct {
 
 // StartSpan begins measuring a stage against the ring.
 func (r *Ring) StartSpan(stage StageID) Span {
-	sp := Span{ring: r, stage: stage, startNs: r.now()}
+	sp := Span{ring: r, stage: stage, startNs: NowNs()}
 	if r.trackAllocs.Load() {
 		sp.startBytes = heapAllocBytes()
 	}
@@ -180,14 +234,15 @@ func (r *Ring) StartSpan(stage StageID) Span {
 func StartSpan(stage StageID) Span { return Frames.StartSpan(stage) }
 
 // End stops the span: its duration (and alloc delta, if tracking)
-// accumulates into the currently open frame, and the self-trace sink, if
-// any, gets the span regardless of frame state.
+// accumulates into the currently open frame, if any, and goes through
+// the fan-out either way.
 func (sp Span) End() {
 	r := sp.ring
 	if r == nil {
 		return
 	}
-	d := r.now() - sp.startNs
+	end := NowNs()
+	d := end - sp.startNs
 	if s := r.seq.Load(); s != 0 {
 		slot := &r.slots[s%uint64(len(r.slots))]
 		// Record only into a frame that is still the slot's occupant and
@@ -200,33 +255,14 @@ func (sp Span) End() {
 			}
 		}
 	}
-	if st := r.sink.Load(); st != nil {
-		st.record(StageName(sp.stage), d)
-	}
-	if f := r.feed.Load(); f != nil {
-		f.Emit(sp.stage, d)
-	}
+	r.fanout(sp.stage, end, d)
 }
 
-// SetFeed attaches (or, with nil, detaches) a live span feed: every span
-// ended against the ring, and every EmitSpan, is also offered to the
-// feed without blocking. The feed is how the live self-stream watches
-// the pipeline run.
-func (r *Ring) SetFeed(f *SpanFeed) { r.feed.Store(f) }
-
-// EmitSpan records an already-measured stage duration into the
-// self-trace sink and span feed only — never into frame slots. The live
-// pipeline's per-tick stages use it: ticks are not interactive frames
-// and must not pollute /api/obs/frames, but they belong in the
-// meta-trace and the live self-stream. Zero allocations.
-func (r *Ring) EmitSpan(stage StageID, durNs int64) {
-	if st := r.sink.Load(); st != nil {
-		st.record(StageName(stage), durNs)
-	}
-	if f := r.feed.Load(); f != nil {
-		f.Emit(stage, durNs)
-	}
-}
+// Emit fans out an already-measured stage duration that ended now,
+// skipping the frame slots. The live pipeline's per-tick hops and SSE
+// writes use it: ticks are not interactive frames and must not pollute
+// /api/obs/frames. Zero allocations.
+func (r *Ring) Emit(stage StageID, durNs int64) { r.fanout(stage, NowNs(), durNs) }
 
 // heapAllocMetric is the cumulative heap allocation counter of
 // runtime/metrics — cheap to read (no stop-the-world), monotonic.
@@ -280,17 +316,14 @@ func (r *Ring) Snapshot(max int) []Frame {
 		if end := slot.end.Load(); end != 0 {
 			f.DurMs = float64(end-slot.start.Load()) / 1e6
 		}
-		names := stageNames.Load()
-		if names != nil {
-			for i, name := range *names {
-				if c := slot.count[i].Load(); c != 0 {
-					f.Stages = append(f.Stages, StageTiming{
-						Stage: name,
-						Ns:    slot.ns[i].Load(),
-						Count: c,
-						Bytes: slot.bytes[i].Load(),
-					})
-				}
+		for i, st := range *stages.Load() {
+			if c := slot.count[i].Load(); c != 0 {
+				f.Stages = append(f.Stages, StageTiming{
+					Stage: st.name,
+					Ns:    slot.ns[i].Load(),
+					Count: c,
+					Bytes: slot.bytes[i].Load(),
+				})
 			}
 		}
 		if slot.seq.Load() != s {

@@ -107,20 +107,29 @@ func TestSpanOutsideFrameDropped(t *testing.T) {
 	}
 }
 
-// TestFrameRingConcurrent exercises frames, spans and snapshots racing;
-// correctness here is simply "no race, no panic, plausible snapshot"
-// under -race.
+// TestFrameRingConcurrent exercises frames, spans, emits, snapshots and
+// subscriber attach/detach racing; correctness here is simply "no race,
+// no panic, plausible snapshot" under -race.
 func TestFrameRingConcurrent(t *testing.T) {
 	r := obs.NewRing(8)
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			seq := r.BeginFrame()
 			sp := r.StartSpan(obs.StageLayout)
 			sp.End()
+			r.Emit(obs.StageWrite, 1)
 			r.EndFrame(seq)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			rec := &recorder{}
+			r.Attach(rec)
+			r.Detach(rec)
 		}
 	}()
 	go func() {
@@ -151,5 +160,112 @@ func TestTrackAllocs(t *testing.T) {
 	}
 	if frames[0].Stages[0].Bytes < 1<<16 {
 		t.Errorf("alloc delta = %d bytes, want >= %d", frames[0].Stages[0].Bytes, 1<<16)
+	}
+}
+
+// recorder is a Subscriber that keeps every span it is handed.
+type recorder struct {
+	mu    sync.Mutex
+	spans []obs.SpanEvent
+}
+
+func (r *recorder) Record(stage obs.StageID, atNs, durNs int64) {
+	r.mu.Lock()
+	r.spans = append(r.spans, obs.SpanEvent{Stage: stage, AtNs: atNs, DurNs: durNs})
+	r.mu.Unlock()
+}
+
+// stageCount reads a stage histogram's observation count off the
+// default registry.
+func stageCount(t *testing.T, stage string) uint64 {
+	t.Helper()
+	name := `viva_stage_seconds{stage="` + stage + `"}`
+	for _, m := range obs.Default.Snapshot() {
+		if m.Name == name {
+			return m.Count
+		}
+	}
+	t.Fatalf("no histogram %s", name)
+	return 0
+}
+
+// TestSpanFanout checks the one path a stage duration takes: a span
+// ended in an open frame lands in the frame, its stage histogram and
+// every attached subscriber, with the same duration everywhere; an Emit
+// reaches the histogram and the subscribers but not the frame; EndFrame
+// fans the frame out as the frame stage; a detached subscriber gets
+// nothing; and a full SpanFeed drops and counts instead of blocking.
+func TestSpanFanout(t *testing.T) {
+	ring := obs.NewRing(4)
+	a, b, gone := &recorder{}, &recorder{}, &recorder{}
+	ring.Attach(a)
+	ring.Attach(gone)
+	ring.Attach(b)
+	ring.Detach(gone)
+	build0, apply0, frame0 := stageCount(t, "build"), stageCount(t, "apply"), stageCount(t, "frame")
+
+	seq := ring.BeginFrame()
+	sp := ring.StartSpan(obs.StageBuild)
+	spin()
+	sp.End()
+	ring.Emit(obs.StageApply, 1000)
+	ring.EndFrame(seq)
+
+	frames := ring.Snapshot(0)
+	if len(frames) != 1 || len(frames[0].Stages) != 1 {
+		t.Fatalf("frames = %+v, want one frame holding only the build span", frames)
+	}
+	build := frames[0].Stages[0]
+	if build.Stage != "build" || build.Count != 1 || build.Ns <= 0 {
+		t.Fatalf("frame stage = %+v, want one positive build span", build)
+	}
+	for stage, before := range map[string]uint64{"build": build0, "apply": apply0, "frame": frame0} {
+		if got := stageCount(t, stage) - before; got != 1 {
+			t.Errorf("%s histogram gained %d observations, want 1", stage, got)
+		}
+	}
+
+	frameNs := int64(frames[0].DurMs * 1e6)
+	for name, r := range map[string]*recorder{"a": a, "b": b} {
+		if len(r.spans) != 3 {
+			t.Fatalf("subscriber %s got %+v, want build, apply, frame", name, r.spans)
+		}
+		if ev := r.spans[0]; ev.Stage != obs.StageBuild || ev.DurNs != build.Ns {
+			t.Errorf("subscriber %s span 0 = %+v, want build of %d ns", name, ev, build.Ns)
+		}
+		if ev := r.spans[1]; ev.Stage != obs.StageApply || ev.DurNs != 1000 {
+			t.Errorf("subscriber %s span 1 = %+v, want apply of 1000 ns", name, ev)
+		}
+		if ev := r.spans[2]; ev.Stage != obs.StageFrame || ev.DurNs < frameNs-1 || ev.DurNs > frameNs+1 {
+			t.Errorf("subscriber %s span 2 = %+v, want frame of ~%d ns", name, ev, frameNs)
+		}
+		if r.spans[0].AtNs > r.spans[1].AtNs || r.spans[1].AtNs > r.spans[2].AtNs {
+			t.Errorf("subscriber %s end stamps out of order: %+v", name, r.spans)
+		}
+	}
+	if len(gone.spans) != 0 {
+		t.Errorf("detached subscriber received %+v", gone.spans)
+	}
+
+	feed := obs.NewSpanFeed(2)
+	ring.Attach(feed)
+	ring.Emit(obs.StageApply, 1000)
+	ring.Emit(obs.StageEncode, 2000)
+	ring.Emit(obs.StageFanout, 3000) // full: dropped, not blocked
+	if got := feed.Dropped(); got != 1 {
+		t.Fatalf("feed dropped = %d, want 1", got)
+	}
+	if ev := <-feed.Events(); ev.Stage != obs.StageApply || ev.DurNs != 1000 {
+		t.Fatalf("first feed event = %+v", ev)
+	}
+	if ev := <-feed.Events(); ev.Stage != obs.StageEncode || ev.DurNs != 2000 {
+		t.Fatalf("second feed event = %+v", ev)
+	}
+	ring.Detach(feed)
+	ring.Emit(obs.StageApply, 1)
+	select {
+	case ev := <-feed.Events():
+		t.Fatalf("detached feed still received %+v", ev)
+	default:
 	}
 }

@@ -4,7 +4,7 @@ package obs_test
 // registers must follow the house conventions, so dashboards and alert
 // rules can rely on them. The run exercises the interactive server path
 // (which registers the HTTP/cache/frame families), a live stream
-// publisher (stream/SLO/stage families), and the flight recorder; every
+// publisher (stream/SLO families), and the flight recorder; every
 // other instrumented package registers its series in package init, so
 // importing it is enough to put its names under the lint.
 
@@ -36,8 +36,8 @@ import (
 var familyRE = regexp.MustCompile(`^viva_[a-z0-9_]+$`)
 
 // representativeRun drives enough of the pipeline that the lazily
-// registered families (per-route HTTP series, stream stage histograms,
-// SLO series) exist in the default registry.
+// registered families (per-route HTTP series, stream series, SLO
+// series) exist in the default registry.
 func representativeRun(t *testing.T) {
 	t.Helper()
 	tr := trace.New()
@@ -126,14 +126,14 @@ func TestMetricNameLint(t *testing.T) {
 		}
 	}
 
-	// The tentpole's contract: the per-stage histograms cover every hop
-	// of the live path, and the SLO layer exports its series.
+	// Every registered stage — request path, live hops and the whole
+	// frame — has its histogram, and the SLO layer exports its series.
 	series := make(map[string]bool, len(snap))
 	for _, m := range snap {
 		series[m.Name] = true
 	}
-	for _, stage := range []string{"intake", "apply", "aggregate", "encode", "fanout", "write"} {
-		if name := `viva_stream_stage_seconds{stage="` + stage + `"}`; !series[name] {
+	for id := obs.StageID(0); obs.StageName(id) != ""; id++ {
+		if name := `viva_stage_seconds{stage="` + obs.StageName(id) + `"}`; !series[name] {
 			t.Errorf("missing per-stage histogram %s", name)
 		}
 	}

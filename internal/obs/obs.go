@@ -1,15 +1,16 @@
 // Package obs is the self-observation layer of the pipeline: lock-free
 // counters, gauges and histograms in a global registry (Prometheus text
-// exposition), a frame-span API recording where each interactive frame's
-// budget goes (a bounded ring of per-stage wall time and alloc deltas),
-// and an optional meta-trace sink that emits the spans as a Paje trace —
-// so viva can load and visualize its own execution with the very
+// exposition), and a stage-span API: every span feeds its stage's
+// viva_stage_seconds histogram, the bounded ring of per-frame stage
+// timings when an interactive frame is open, and any attached
+// subscriber — such as the meta-trace that emits the spans as a Paje
+// trace, so viva can load and visualize its own execution with the very
 // machinery it applies to distributed systems.
 //
 // The hot path is allocation-free: a counter increment is one atomic add,
-// a span start/stop two monotonic clock reads plus a few atomic stores.
-// Everything else (registration, exposition, snapshots) is cold and may
-// lock or allocate freely.
+// a span start/stop two monotonic clock reads, one histogram observe and
+// a few atomic stores. Everything else (registration, exposition,
+// snapshots) is cold and may lock or allocate freely.
 package obs
 
 import (

@@ -1,16 +1,9 @@
-// Causal op tracing for the live pipeline. A StageClock is the
-// trace-context threaded through one publisher tick: the tick's sequence
-// number plus a monotonic stamp that each stage boundary advances. Like
-// Span it is a value type — starting a clock and marking a stage never
-// allocate — but where frame spans accumulate into the interactive frame
-// ring, stage marks feed per-stage latency *histograms*, the
-// decomposition that answers "where did my tick go" across
-// source → intake → apply → aggregate → encode → fan-out → client write.
-//
-// The SpanFeed is the live half of the meta-trace: a bounded non-blocking
-// queue of finished spans that a stream.Source can drain and re-emit as
-// live trace operations, so the pipeline's own execution is watchable
-// through the same /api/stream machinery it serves traces with.
+// The process clock and the live half of the meta-trace. NowNs stamps
+// every span, frame and snapshot on one monotonic clock. The SpanFeed is
+// a fan-out Subscriber: a bounded non-blocking queue of finished spans
+// that a stream.Source can drain and re-emit as live trace operations,
+// so the pipeline's own execution is watchable through the same
+// /api/stream machinery it serves traces with.
 
 package obs
 
@@ -24,43 +17,8 @@ import (
 var epoch = time.Now()
 
 // NowNs returns monotonic nanoseconds since the obs epoch. One clock
-// read, no allocation: cheap enough to stamp every snapshot and mark
-// every stage boundary.
+// read, no allocation: cheap enough to stamp every span boundary.
 func NowNs() int64 { return int64(time.Since(epoch)) }
-
-// StageClock is the per-tick trace context. The zero value is unusable;
-// start one with StartStageClock at the tick's beginning and Mark each
-// stage boundary in order.
-type StageClock struct {
-	// Seq is the tick sequence number the stamps belong to; the caller
-	// sets it once known (it may be assigned mid-tick).
-	Seq uint64
-
-	start int64
-	last  int64
-}
-
-// StartStageClock opens a trace context stamped now.
-func StartStageClock(seq uint64) StageClock {
-	n := NowNs()
-	return StageClock{Seq: seq, start: n, last: n}
-}
-
-// Mark closes the current stage: the elapsed time since the previous
-// mark (or the clock's start) is observed into h and returned in
-// nanoseconds, and the stamp advances. Zero allocations.
-func (c *StageClock) Mark(h *Histogram) int64 {
-	n := NowNs()
-	d := n - c.last
-	c.last = n
-	if h != nil {
-		h.Observe(float64(d) / 1e9)
-	}
-	return d
-}
-
-// TotalNs returns the time elapsed since the clock started.
-func (c *StageClock) TotalNs() int64 { return NowNs() - c.start }
 
 // SpanEvent is one finished span as the feed delivers it.
 type SpanEvent struct {
@@ -69,9 +27,9 @@ type SpanEvent struct {
 	DurNs int64
 }
 
-// SpanFeed is a bounded, non-blocking span queue: producers (Span.End,
-// Ring.EmitSpan) drop when the consumer lags, so instrumentation can
-// never stall the pipeline it observes. Dropped spans are counted.
+// SpanFeed is a bounded, non-blocking span queue: Record drops when the
+// consumer lags, so instrumentation can never stall the pipeline it
+// observes. Dropped spans are counted.
 type SpanFeed struct {
 	ch      chan SpanEvent
 	dropped atomic.Uint64
@@ -85,10 +43,10 @@ func NewSpanFeed(n int) *SpanFeed {
 	return &SpanFeed{ch: make(chan SpanEvent, n)}
 }
 
-// Emit enqueues a finished span, dropping it if the feed is full.
-func (f *SpanFeed) Emit(stage StageID, durNs int64) {
+// Record enqueues a finished span, dropping it if the feed is full.
+func (f *SpanFeed) Record(stage StageID, atNs, durNs int64) {
 	select {
-	case f.ch <- SpanEvent{Stage: stage, AtNs: NowNs(), DurNs: durNs}:
+	case f.ch <- SpanEvent{Stage: stage, AtNs: atNs, DurNs: durNs}:
 	default:
 		f.dropped.Add(1)
 	}

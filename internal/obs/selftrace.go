@@ -18,7 +18,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 )
 
 // pajeHeader declares the four event kinds the writer uses, in the
@@ -48,17 +47,17 @@ const pajeHeader = `%EventDef PajeDefineContainerType 0
 %EndEventDef
 `
 
-// SelfTrace streams spans to a Paje trace. Writes are serialized by a
-// mutex and buffered; Close flushes. It deliberately lives off the hot
-// path: a sink is only consulted when explicitly attached.
+// SelfTrace streams spans to a Paje trace. It is a Subscriber: attach it
+// to a ring and every stage duration fanned out there is written. Writes
+// are serialized by a mutex and buffered; Close flushes.
 type SelfTrace struct {
-	mu     sync.Mutex
-	w      *bufio.Writer
-	c      io.Closer
-	epoch  time.Time
-	lastT  float64
-	stages map[string]bool
-	err    error
+	mu       sync.Mutex
+	w        *bufio.Writer
+	c        io.Closer
+	startNs  int64 // NowNs at creation: the trace's time zero
+	lastT    float64
+	declared [MaxStages]bool
+	err      error
 }
 
 // NewSelfTrace starts a meta-trace on w (which is closed by Close when
@@ -66,9 +65,8 @@ type SelfTrace struct {
 // root "viva" container are written immediately.
 func NewSelfTrace(w io.Writer) *SelfTrace {
 	st := &SelfTrace{
-		w:      bufio.NewWriter(w),
-		epoch:  time.Now(),
-		stages: make(map[string]bool),
+		w:       bufio.NewWriter(w),
+		startNs: NowNs(),
 	}
 	if c, ok := w.(io.Closer); ok {
 		st.c = c
@@ -105,32 +103,33 @@ func (st *SelfTrace) put(s string) {
 	}
 }
 
-// record emits one span: ensure the stage container exists, then set its
+// Record emits one span: ensure the stage container exists, then set its
 // duration variable at the span's end time. Timestamps are seconds since
-// the sink started, clamped monotonic (concurrent spans may finish out
+// the trace started, clamped monotonic (concurrent spans may finish out
 // of order by nanoseconds; Paje bodies are conventionally time-sorted).
-func (st *SelfTrace) record(stage string, durNs int64) {
-	if stage == "" {
+func (st *SelfTrace) Record(stage StageID, atNs, durNs int64) {
+	name := StageName(stage)
+	if name == "" {
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	t := time.Since(st.epoch).Seconds()
+	t := float64(atNs-st.startNs) / 1e9
 	if t < st.lastT {
 		t = st.lastT
 	}
 	st.lastT = t
-	if !st.stages[stage] {
-		st.stages[stage] = true
-		st.put(fmt.Sprintf("2 %.9f %q \"CT_stage\" \"viva\" %q\n", t, stage, stage))
+	if !st.declared[stage] {
+		st.declared[stage] = true
+		st.put(fmt.Sprintf("2 %.9f %q \"CT_stage\" \"viva\" %q\n", t, name, name))
 	}
 	ms := float64(durNs) / 1e6
-	st.put(fmt.Sprintf("3 %.9f \"V_dur\" %q %g\n", t, stage, ms))
-	st.put(fmt.Sprintf("3 %.9f \"V_pow\" %q %g\n", t, stage, ms))
+	st.put(fmt.Sprintf("3 %.9f \"V_dur\" %q %g\n", t, name, ms))
+	st.put(fmt.Sprintf("3 %.9f \"V_pow\" %q %g\n", t, name, ms))
 }
 
 // Close flushes and closes the underlying writer, reporting the first
-// error seen over the sink's lifetime.
+// error seen over the trace's lifetime.
 func (st *SelfTrace) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -144,7 +143,3 @@ func (st *SelfTrace) Close() error {
 	}
 	return st.err
 }
-
-// SetSink attaches (or, with nil, detaches) a self-trace to the ring:
-// every span end and frame end is forwarded to it.
-func (r *Ring) SetSink(st *SelfTrace) { r.sink.Store(st) }

@@ -12,7 +12,7 @@ import (
 	"viva/internal/traceio"
 )
 
-// TestSelfTraceRoundTrip writes a meta-trace through the ring sink and
+// TestSelfTraceRoundTrip writes a meta-trace through the ring fan-out and
 // reads it back with internal/paje: the visualizer must be able to load
 // its own execution. Checks the container hierarchy (root "viva" of a
 // group type, stages below it) and the duration_ms variable timelines.
@@ -23,7 +23,7 @@ func TestSelfTraceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := obs.NewRing(8)
-	r.SetSink(st)
+	r.Attach(st)
 
 	for i := 0; i < 3; i++ {
 		seq := r.BeginFrame()
@@ -34,7 +34,7 @@ func TestSelfTraceRoundTrip(t *testing.T) {
 		}
 		r.EndFrame(seq)
 	}
-	r.SetSink(nil)
+	r.Detach(st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestSelfTraceSpansWithoutFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := obs.NewRing(4)
-	r.SetSink(st)
+	r.Attach(st)
 	for i := 0; i < 5; i++ {
 		sp := r.StartSpan(obs.StageLayout)
 		spin()
 		sp.End()
 	}
-	r.SetSink(nil)
+	r.Detach(st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSelfTraceSpansWithoutFrames(t *testing.T) {
 }
 
 // TestSelfTraceIngestSpan closes the loop over the ingestion path: a
-// trace load through traceio while a self-trace sink is attached must
+// trace load through traceio while a self-trace is attached must
 // record an "ingest" span, which reads back (through that very ingestion
 // path) as a stage container with a positive duration_ms timeline.
 func TestSelfTraceIngestSpan(t *testing.T) {
@@ -129,9 +129,9 @@ func TestSelfTraceIngestSpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.Frames.SetSink(st)
+	obs.Frames.Attach(st)
 	_, loadErr := traceio.Read(strings.NewReader("resource h host -\nset 0 h power 5\nend 1\n"))
-	obs.Frames.SetSink(nil)
+	obs.Frames.Detach(st)
 	if loadErr != nil {
 		t.Fatal(loadErr)
 	}

@@ -79,53 +79,3 @@ func TestHistogramQuantile(t *testing.T) {
 		t.Fatalf("overflow quantile = %g, want clamp to 0.1", got)
 	}
 }
-
-func TestStageClockAndSpanFeed(t *testing.T) {
-	r := obs.NewRegistry()
-	h := r.Histogram("test_stage_seconds", "stage clock test", nil)
-	clock := obs.StartStageClock(3)
-	d1 := clock.Mark(h)
-	d2 := clock.Mark(h)
-	if d1 < 0 || d2 < 0 {
-		t.Fatalf("negative stage durations %d, %d", d1, d2)
-	}
-	if h.Count() != 2 {
-		t.Fatalf("histogram count = %d, want 2", h.Count())
-	}
-	if clock.TotalNs() < d1+d2 {
-		t.Fatalf("TotalNs %d < sum of marks %d", clock.TotalNs(), d1+d2)
-	}
-
-	feed := obs.NewSpanFeed(2)
-	ring := obs.NewRing(4)
-	ring.SetFeed(feed)
-	ring.EmitSpan(obs.StageApply, 1000)
-	ring.EmitSpan(obs.StageEncode, 2000)
-	ring.EmitSpan(obs.StageFanout, 3000) // full: dropped, not blocked
-	if got := feed.Dropped(); got != 1 {
-		t.Fatalf("feed dropped = %d, want 1", got)
-	}
-	ev := <-feed.Events()
-	if ev.Stage != obs.StageApply || ev.DurNs != 1000 {
-		t.Fatalf("first feed event = %+v", ev)
-	}
-	ev = <-feed.Events()
-	if ev.Stage != obs.StageEncode || ev.DurNs != 2000 {
-		t.Fatalf("second feed event = %+v", ev)
-	}
-
-	// Spans ended against the ring also reach the feed.
-	sp := ring.StartSpan(obs.StageWrite)
-	sp.End()
-	ev = <-feed.Events()
-	if ev.Stage != obs.StageWrite {
-		t.Fatalf("span-fed event = %+v", ev)
-	}
-	ring.SetFeed(nil)
-	ring.EmitSpan(obs.StageApply, 1)
-	select {
-	case ev := <-feed.Events():
-		t.Fatalf("detached feed still received %+v", ev)
-	default:
-	}
-}

@@ -199,10 +199,12 @@ func TestObsDebugUnderLoad(t *testing.T) {
 }
 
 // TestSelfStreamSSE closes the visualization loop: pipeline spans
-// emitted into the feed come back out of /api/stream/self as live trace
+// fanned out to the feed come back out of /api/stream/self as live trace
 // frames carrying per-stage series.
 func TestSelfStreamSSE(t *testing.T) {
 	feed := obs.NewSpanFeed(1024)
+	ring := obs.NewRing(1)
+	ring.Attach(feed)
 	selfSt, err := stream.New(stream.NewSelfSource(feed), stream.Config{Tick: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +228,8 @@ func TestSelfStreamSSE(t *testing.T) {
 			case <-emitCtx.Done():
 				return
 			case <-time.After(time.Millisecond):
-				feed.Emit(obs.StageApply, int64(1000*(i+1)))
-				feed.Emit(obs.StageEncode, int64(500*(i+1)))
+				ring.Emit(obs.StageApply, int64(1000*(i+1)))
+				ring.Emit(obs.StageEncode, int64(500*(i+1)))
 			}
 		}
 	}()

@@ -16,17 +16,14 @@ import (
 var obsStreamEvictions = obs.Default.Counter("viva_stream_evictions_total",
 	"SSE subscribers evicted by write deadlines (stalled peers).")
 
-// The last two hops of the live path, observed here because only the
-// HTTP layer sees the client socket: the write stage (framing + socket
-// write + flush of one SSE chunk) and the per-subscriber delivery lag
-// (snapshot publish stamp → the moment its bytes reached the client
-// write, the end-to-end "how stale was what this client just got").
-var (
-	obsStageWrite = obs.Default.Histogram(`viva_stream_stage_seconds{stage="write"}`,
-		"Live-pipeline per-stage latency, one series per hop source-to-client.", nil)
-	obsDeliveryLag = obs.Default.Histogram("viva_stream_delivery_lag_seconds",
-		"Per-subscriber snapshot age at client write time (publish stamp to flushed write).", nil)
-)
+// The last two hops of the live path are observed here because only the
+// HTTP layer sees the client socket: the write stage (socket write +
+// flush of one SSE chunk, emitted as obs.StageWrite) and the
+// per-subscriber delivery lag (snapshot publish stamp → the moment its
+// bytes reached the client write, the end-to-end "how stale was what
+// this client just got").
+var obsDeliveryLag = obs.Default.Histogram("viva_stream_delivery_lag_seconds",
+	"Per-subscriber snapshot age at client write time (publish stamp to flushed write).", nil)
 
 // Stream-route timing defaults; the Server fields of the same names
 // override them (tests shorten them drastically).
@@ -163,8 +160,7 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, st *stream.
 					return
 				}
 				wroteNs := obs.NowNs()
-				obsStageWrite.Observe(float64(wroteNs-startNs) / 1e9)
-				obs.Frames.EmitSpan(obs.StageWrite, wroteNs-startNs)
+				obs.Frames.Emit(obs.StageWrite, wroteNs-startNs)
 				// Delivery lag closes the source→client chain: each
 				// snapshot's publish stamp against the moment its bytes
 				// were flushed toward this subscriber.

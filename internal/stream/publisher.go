@@ -403,16 +403,20 @@ func (s *Stream) Run(ctx context.Context) error {
 // latency the shedding loop feeds on. firstOpNs, when nonzero, is the
 // intake stamp of the batch's oldest op — the source→tick hop.
 //
-// Each stage boundary is marked on a StageClock (per-stage histograms)
-// and emitted as a span (self-trace sink + live span feed), so one tick
-// decomposes the same way an interactive frame does.
+// Each stage boundary hands the time since the previous one to the span
+// fan-out (obs.Ring.Emit: stage histogram, meta-trace, live span feed),
+// so one tick decomposes the same way an interactive frame does, without
+// landing in one.
 func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
-	start := time.Now()
-	clock := obs.StartStageClock(0)
+	start := obs.NowNs()
 	if len(batch) > 0 && firstOpNs > 0 {
-		d := obs.NowNs() - firstOpNs
-		obsStageIntake.Observe(float64(d) / 1e9)
-		obs.Frames.EmitSpan(obs.StageIntake, d)
+		obs.Frames.Emit(obs.StageIntake, start-firstOpNs)
+	}
+	mark := start
+	hop := func(stage obs.StageID) {
+		now := obs.NowNs()
+		obs.Frames.Emit(stage, now-mark)
+		mark = now
 	}
 
 	if s.cfg.Locker != nil {
@@ -431,7 +435,7 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 		}
 	}
 	obsEvents.Add(uint64(applied))
-	obs.Frames.EmitSpan(obs.StageApply, clock.Mark(obsStageApply))
+	hop(obs.StageApply)
 
 	s.mu.Lock()
 	s.ticks++
@@ -441,7 +445,6 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	seq := s.seq
 	ticks := s.ticks
 	s.mu.Unlock()
-	clock.Seq = seq
 
 	_, now := s.tr.Window()
 	full := final || (ticks-1)%s.cfg.FullEvery == 0 // the first tick seeds a full
@@ -496,7 +499,7 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	if s.cfg.Locker != nil {
 		s.cfg.Locker.Unlock()
 	}
-	obs.Frames.EmitSpan(obs.StageAggregate, clock.Mark(obsStageAggregate))
+	hop(obs.StageWindow)
 
 	// Encode once, outside the lock: every subscriber shares these bytes.
 	data, err := encode(head, nil, delta, groupStats)
@@ -504,7 +507,7 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	if full {
 		fdata, _ = encode(head, cat, all, groupStats)
 	}
-	obs.Frames.EmitSpan(obs.StageEncode, clock.Mark(obsStageEncode))
+	hop(obs.StageEncode)
 
 	pubNs := obs.NowNs()
 	if err == nil {
@@ -513,7 +516,7 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	if full && fdata != nil {
 		s.Hub.SetFull(&Snapshot{Seq: seq, Time: now, Full: true, Data: fdata, PubNs: pubNs})
 	}
-	obs.Frames.EmitSpan(obs.StageFanout, clock.Mark(obsStageFanout))
+	hop(obs.StageFanout)
 
 	// Staleness: the gap between consecutive publishes is the age the
 	// freshest client-visible data had just before this tick replaced it.
@@ -524,7 +527,7 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	}
 	s.lastPubNs = pubNs
 
-	d := time.Since(start)
+	d := time.Duration(obs.NowNs() - start)
 	obsPublish.Observe(d.Seconds())
 	if sloPush.Observe(d.Seconds()) {
 		s.maybeAnomalyDump(seq)

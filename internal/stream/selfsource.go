@@ -11,8 +11,9 @@ import (
 // platform (root "viva", one resource per stage), so the pipeline's own
 // execution streams through the same hub/SSE machinery it serves real
 // traces with — the paper's visualization loop closed over the system's
-// hot path. Attach the feed with obs.Frames.SetFeed and serve the
-// resulting stream on /api/stream/self.
+// hot path. Attach the feed to the span fan-out with obs.Frames.Attach
+// and serve the resulting stream on /api/stream/self; whole interactive
+// frames arrive as the "frame" stage.
 type SelfSource struct {
 	feed *obs.SpanFeed
 }

@@ -63,20 +63,6 @@ var (
 		"Gap between consecutive published snapshots (client-visible data age).", nil)
 )
 
-// Per-stage latency decomposition of the live path, one series per hop.
-// intake: first queued op → tick start; apply/aggregate/encode/fanout:
-// within the tick; the write stage and per-subscriber delivery lag are
-// observed by the HTTP layer (internal/server).
-const stageHelp = "Live-pipeline per-stage latency, one series per hop source-to-client."
-
-var (
-	obsStageIntake    = obs.Default.Histogram(`viva_stream_stage_seconds{stage="intake"}`, stageHelp, nil)
-	obsStageApply     = obs.Default.Histogram(`viva_stream_stage_seconds{stage="apply"}`, stageHelp, nil)
-	obsStageAggregate = obs.Default.Histogram(`viva_stream_stage_seconds{stage="aggregate"}`, stageHelp, nil)
-	obsStageEncode    = obs.Default.Histogram(`viva_stream_stage_seconds{stage="encode"}`, stageHelp, nil)
-	obsStageFanout    = obs.Default.Histogram(`viva_stream_stage_seconds{stage="fanout"}`, stageHelp, nil)
-)
-
 // Service-level objectives over the live path, exported as
 // viva_slo_* series and driving the flight recorder's anomaly dump.
 var (

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"viva/internal/obs"
 	"viva/internal/trace"
 )
 
@@ -323,5 +324,44 @@ func TestFollowSource(t *testing.T) {
 	}
 	if !bytes.Equal(enc.Bytes(), got.Bytes()) {
 		t.Fatalf("followed trace differs from source file (%d vs %d bytes)", got.Len(), enc.Len())
+	}
+}
+
+// TestTickStaysOutOfFrames checks a publisher tick hands its hops to the
+// span fan-out in hop order, and that none of them lands in an
+// interactive frame open on the same ring meanwhile.
+func TestTickStaysOutOfFrames(t *testing.T) {
+	cold := buildCold(t, 4, 400, 5)
+	var ops []Op
+	if err := NewReplay(cold, 0).Run(context.Background(), func(op Op) error {
+		ops = append(ops, op)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(NewReplay(cold, 0), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := obs.NewSpanFeed(64)
+	obs.Frames.Attach(feed)
+	defer obs.Frames.Detach(feed)
+
+	seq := obs.Frames.BeginFrame()
+	s.tick(ops, false, obs.NowNs())
+	obs.Frames.EndFrame(seq)
+
+	for _, f := range obs.Frames.Snapshot(0) {
+		if f.Seq == seq && len(f.Stages) != 0 {
+			t.Errorf("tick spans landed in the open frame: %+v", f.Stages)
+		}
+	}
+	var got []string
+	for len(feed.Events()) > 0 {
+		got = append(got, obs.StageName((<-feed.Events()).Stage))
+	}
+	want := []string{"intake", "apply", "window", "encode", "fanout", "frame"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("fanned-out stages = %v, want %v", got, want)
 	}
 }

@@ -88,11 +88,6 @@ func (tr *Trace) StateAt(resource string, t float64) string {
 	return pts[i-1].v
 }
 
-// HasStates reports whether the resource carries state events.
-func (tr *Trace) HasStates(resource string) bool {
-	return len(tr.states[resource]) > 0
-}
-
 // StateIntervals returns the resource's state spans clipped to [a, b],
 // idle ("") spans omitted.
 func (tr *Trace) StateIntervals(resource string, a, b float64) []StateInterval {

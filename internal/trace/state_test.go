@@ -181,3 +181,9 @@ func TestStateReadErrors(t *testing.T) {
 		}
 	}
 }
+
+// HasStates reports whether the resource carries state events. Only
+// tests ask, so it lives here.
+func (tr *Trace) HasStates(resource string) bool {
+	return len(tr.states[resource]) > 0
+}

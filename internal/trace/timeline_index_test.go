@@ -15,10 +15,10 @@ func TestTimelineWindowSemantics(t *testing.T) {
 	tl := NewTimeline(Point{0, 5}, Point{2, 9}, Point{4, 1})
 	empty := &Timeline{}
 	cases := []struct {
-		name                      string
-		tl                        *Timeline
-		a, b                      float64
-		integ, mean, maxV, minV   float64
+		name                    string
+		tl                      *Timeline
+		a, b                    float64
+		integ, mean, maxV, minV float64
 	}{
 		{"inverted", tl, 3, 1, 0, 0, 0, 0},
 		{"inverted before first point", tl, -1, -2, 0, 0, 0, 0},

@@ -57,8 +57,9 @@ func Read(r io.Reader) (*trace.Trace, error) {
 }
 
 // ReadWith is Read with explicit ingestion options. The whole load is
-// recorded as an obs "ingest" span (visible through a self-trace sink; the
-// viva_ingest_* counters accumulate bytes, lines and events regardless).
+// recorded as an obs "ingest" span (in viva_stage_seconds and any
+// attached self-trace; the viva_ingest_* counters accumulate bytes, lines
+// and events).
 func ReadWith(r io.Reader, opt ingest.Options) (*trace.Trace, error) {
 	sp := obs.StartSpan(obs.StageIngest)
 	defer sp.End()
