@@ -53,10 +53,13 @@ func LayoutScale(opts Options) (*Result, error) {
 	}
 
 	table := Table{
-		Title:  fmt.Sprintf("cold start to residual < %.2g (wall-clock)", eps),
-		Header: []string{"n", "flat ms", "flat steps", "multilevel ms", "ml steps", "levels", "speedup"},
+		Title:  fmt.Sprintf("cold start to residual < %.2g (wall clock and body-steps)", eps),
+		Header: []string{"n", "flat ms", "flat steps", "multilevel ms", "ml steps", "levels", "speedup", "body-step ratio"},
 	}
-	speedups := make([]float64, len(sizes))
+	// A body-step is one body advanced by one step, the unit both
+	// engines pay per step: the deterministic measure of the work to
+	// converge that the check uses.
+	ratios := make([]float64, len(sizes))
 	var mlConverged, flatConverged = true, true
 	for i, n := range sizes {
 		t0 := time.Now()
@@ -73,18 +76,24 @@ func LayoutScale(opts Options) (*Result, error) {
 			mlConverged = false
 		}
 
-		speedups[i] = flatMS / mlMS
+		mlBodySteps := 0
+		for _, lev := range st.Levels {
+			mlBodySteps += lev.Bodies * lev.Steps
+		}
+		ratios[i] = float64(flatSteps*n) / float64(mlBodySteps)
 		table.Rows = append(table.Rows, []string{
 			fmt.Sprintf("%d", n),
 			fmt.Sprintf("%.0f", flatMS), fmt.Sprintf("%d", flatSteps),
 			fmt.Sprintf("%.0f", mlMS), fmt.Sprintf("%d", st.TotalSteps),
 			fmt.Sprintf("%d", len(st.Levels)),
-			fmt.Sprintf("%.1fx", speedups[i]),
+			fmt.Sprintf("%.1fx", flatMS/mlMS),
+			fmt.Sprintf("%.1fx", ratios[i]),
 		})
 	}
 	res.Tables = append(res.Tables, table)
 	res.Notes = append(res.Notes,
 		"flat and multilevel stop at the same residual threshold (render px), so both end equally settled",
+		"body-steps sum each level's bodies times its steps; the flat engine pays n per step",
 		"the multilevel step count spans ALL levels; most of those steps run on graphs 4-64x smaller than the input")
 
 	last := len(sizes) - 1
@@ -95,8 +104,8 @@ func LayoutScale(opts Options) (*Result, error) {
 	res.Checks = append(res.Checks,
 		check("flat baseline converges", flatConverged, "within the 50000-step cap"),
 		check("multilevel converges", mlConverged, "at every size"),
-		check(fmt.Sprintf("multilevel is >= %.0fx faster to converged at n=%d", want, sizes[last]),
-			speedups[last] >= want, "%.1fx", speedups[last]),
+		check(fmt.Sprintf("multilevel needs >= %.0fx fewer body-steps to converge at n=%d", want, sizes[last]),
+			ratios[last] >= want, "%.1fx", ratios[last]),
 	)
 	return res, nil
 }

@@ -23,7 +23,10 @@ func Scale(opts Options) (*Result, error) {
 		sizes = []int{64, 256, 1024}
 	}
 
-	stepTime := func(n int, algo layout.Algorithm, steps int) float64 {
+	// stepCost returns the best ms/step of three repetitions and the
+	// repulsion terms one step sums: Barnes-Hut counts its accepted
+	// cells (viva_layout_force_terms_total), naive sums every pair.
+	stepCost := func(n int, algo layout.Algorithm, steps int) (ms, terms float64) {
 		l := layout.New(layout.DefaultParams())
 		var springs []layout.Spring
 		for i := 0; i < n; i++ {
@@ -38,7 +41,12 @@ func Scale(opts Options) (*Result, error) {
 		if err := l.SetSprings(springs); err != nil {
 			panic(err)
 		}
+		t0 := forceTerms()
 		l.Step(algo) // warm up (quadtree allocation, cache)
+		terms = forceTerms() - t0
+		if algo == layout.Naive {
+			terms = float64(n) * float64(n-1) / 2
+		}
 		// Best of three repetitions, to shrug off scheduler noise on busy
 		// machines: the growth-exponent check depends on this number.
 		best := math.Inf(1)
@@ -51,15 +59,17 @@ func Scale(opts Options) (*Result, error) {
 				best = d
 			}
 		}
-		return best // ms/step
+		return best, terms
 	}
 
 	table := Table{
-		Title:  "force-directed step time (ms/step)",
-		Header: []string{"n", "naive O(n^2)", "Barnes-Hut O(n log n)", "speedup"},
+		Title:  "force-directed step cost (ms/step and repulsion terms/step)",
+		Header: []string{"n", "naive ms", "Barnes-Hut ms", "speedup", "naive terms", "Barnes-Hut terms"},
 	}
 	naiveMS := make([]float64, len(sizes))
 	bhMS := make([]float64, len(sizes))
+	naiveTerms := make([]float64, len(sizes))
+	bhTerms := make([]float64, len(sizes))
 	for i, n := range sizes {
 		// Enough steps per measurement that one OS preemption cannot
 		// dominate it.
@@ -67,25 +77,30 @@ func Scale(opts Options) (*Result, error) {
 		if steps < 3 {
 			steps = 3
 		}
-		naiveMS[i] = stepTime(n, layout.Naive, steps)
-		bhMS[i] = stepTime(n, layout.BarnesHut, steps)
+		naiveMS[i], naiveTerms[i] = stepCost(n, layout.Naive, steps)
+		bhMS[i], bhTerms[i] = stepCost(n, layout.BarnesHut, steps)
 		table.Rows = append(table.Rows, []string{
 			fmt.Sprintf("%d", n), fmt.Sprintf("%.3f", naiveMS[i]), fmt.Sprintf("%.3f", bhMS[i]),
 			fmt.Sprintf("%.1fx", naiveMS[i]/bhMS[i]),
+			fmt.Sprintf("%.0f", naiveTerms[i]), fmt.Sprintf("%.0f", bhTerms[i]),
 		})
 	}
 	res.Tables = append(res.Tables, table)
 
-	// Empirical growth exponents over the last size doubling steps.
+	// Empirical growth exponents over the last size step, of the wall
+	// clock and of the terms summed (the deterministic form the checks
+	// use).
 	last := len(sizes) - 1
-	expNaive := math.Log(naiveMS[last]/naiveMS[last-1]) / math.Log(float64(sizes[last])/float64(sizes[last-1]))
-	expBH := math.Log(bhMS[last]/bhMS[last-1]) / math.Log(float64(sizes[last])/float64(sizes[last-1]))
+	exponent := func(v []float64) float64 {
+		return math.Log(v[last]/v[last-1]) / math.Log(float64(sizes[last])/float64(sizes[last-1]))
+	}
+	expNaive, expBH := exponent(naiveTerms), exponent(bhTerms)
 	res.Tables = append(res.Tables, Table{
-		Title:  "empirical growth exponent (t ~ n^k) over the last doubling",
-		Header: []string{"algorithm", "k"},
+		Title:  "empirical growth exponent (cost ~ n^k) over the last size step",
+		Header: []string{"algorithm", "k (ms)", "k (terms)"},
 		Rows: [][]string{
-			{"naive", f2(expNaive)},
-			{"barnes-hut", f2(expBH)},
+			{"naive", f2(exponent(naiveMS)), f2(expNaive)},
+			{"barnes-hut", f2(exponent(bhMS)), f2(expBH)},
 		},
 	})
 
@@ -109,14 +124,20 @@ func Scale(opts Options) (*Result, error) {
 	res.Tables = append(res.Tables, viewTable)
 
 	res.Checks = append(res.Checks,
-		check("Barnes-Hut beats naive at the largest size", bhMS[last] < naiveMS[last],
-			"%.2f vs %.2f ms/step at n=%d", bhMS[last], naiveMS[last], sizes[last]),
-		check("naive grows about quadratically", expNaive > 1.6,
-			"exponent %.2f", expNaive),
+		check("Barnes-Hut beats naive at the largest size", bhTerms[last] < naiveTerms[last],
+			"%.0f vs %.0f terms/step at n=%d (%.2f vs %.2f ms/step)",
+			bhTerms[last], naiveTerms[last], sizes[last], bhMS[last], naiveMS[last]),
+		check("naive grows about quadratically", exponent(naiveMS) > 1.6,
+			"exponent %.2f", exponent(naiveMS)),
 		check("Barnes-Hut grows subquadratically", expBH < 1.6 && expBH < expNaive,
-			"exponent %.2f", expBH),
+			"terms exponent %.2f", expBH),
 		check("aggregation collapses the grid view", cutSizes[0] > 100*cutSizes[len(cutSizes)-1],
 			"%d leaves vs %d top groups", cutSizes[0], cutSizes[len(cutSizes)-1]),
 	)
 	return res, nil
+}
+
+// forceTerms reads the process-wide count of Barnes-Hut repulsion terms.
+func forceTerms() float64 {
+	return snapshotByName()["viva_layout_force_terms_total"].Value
 }

@@ -36,9 +36,11 @@ var (
 	obsBodies = obs.Default.Gauge("viva_layout_bodies",
 		"Bodies in the layout at the last step.")
 	obsQuadNodes = obs.Default.Gauge("viva_layout_quadtree_nodes",
-		"Quadtree nodes allocated by the last Barnes-Hut pass.")
+		"Non-empty quadtree cells of the last Barnes-Hut pass.")
 	obsQuadDepth = obs.Default.Gauge("viva_layout_quadtree_depth",
 		"Maximum quadtree depth of the last Barnes-Hut pass.")
+	obsForceTerms = obs.Default.Counter("viva_layout_force_terms_total",
+		"Barnes-Hut repulsion terms summed (one per accepted cell per body walk).")
 )
 
 // Point is a position or vector in the 2D layout plane.
@@ -134,8 +136,7 @@ type Layout struct {
 
 	// Reused per-step scratch state (see quadtree.go and the spring
 	// adjacency below): none of it escapes a Step call.
-	arena    quadArena
-	stacks   [][]int32  // one traversal stack per worker
+	tree     quadTree
 	adj      [][]int32  // body idx -> springs touching it, ±(spring index+1)
 	ends     [][2]int32 // spring index -> body indices of its A and B ends
 	adjDirty bool
@@ -415,41 +416,41 @@ func (l *Layout) workersFor(n int) int {
 // claims at a time.
 const claimChunk = 64
 
-// forBodies runs pass over the active list and guarantees l.stacks[w]
-// exists for each worker. With a single worker pass runs inline on the
-// caller's goroutine over the whole list; otherwise the workers claim
-// fixed claimChunk-body ranges off an atomic counter until the list is
-// exhausted, so a worker that finishes early takes more of the work
-// instead of idling. pass must only write state owned by its own bodies
-// (or its own worker slot), which is what makes the fan-out race-free —
-// and since a body's force depends only on the positions read, never on
-// which worker or range computed it, the result is bit-identical however
-// the ranges fall. pass is a method expression rather than a closure so
-// the serial step allocates nothing.
-func (l *Layout) forBodies(active []int32, pass func(l *Layout, active []int32, worker, lo, hi int)) {
-	n := len(active)
-	w := l.workersFor(n)
-	for len(l.stacks) < w {
-		l.stacks = append(l.stacks, nil)
-	}
+// forBodies runs pass over the active list on the workers workersFor
+// sizes, claimChunk bodies at a time (see fan).
+func (l *Layout) forBodies(active []int32, pass func(l *Layout, active []int32, lo, hi int)) {
+	l.fan(l.workersFor(len(active)), active, len(active), claimChunk, pass)
+}
+
+// fan runs pass over the positions [0, n) on w workers. With a single
+// worker pass runs inline on the caller's goroutine over the whole
+// range; otherwise the workers claim fixed chunk-sized ranges off an
+// atomic counter until the range is exhausted, so a worker that finishes
+// early takes more of the work instead of idling. pass must only write
+// state owned by its own positions, which is what makes the fan-out
+// race-free — and since a body's force depends only on the positions
+// read, never on which worker or range computed it, the result is
+// bit-identical however the ranges fall. pass is a method expression
+// rather than a closure so the serial step allocates nothing.
+func (l *Layout) fan(w int, active []int32, n, chunk int, pass func(l *Layout, active []int32, lo, hi int)) {
 	if w == 1 {
-		pass(l, active, 0, 0, n)
+		pass(l, active, 0, n)
 		return
 	}
 	l.claim.Store(0)
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
-		go func(k int) {
+		go func() {
 			defer wg.Done()
 			for {
-				lo := int(l.claim.Add(claimChunk)) - claimChunk
+				lo := int(l.claim.Add(int64(chunk))) - chunk
 				if lo >= n {
 					return
 				}
-				pass(l, active, k, lo, min(lo+claimChunk, n))
+				pass(l, active, lo, min(lo+chunk, n))
 			}
-		}(k)
+		}()
 	}
 	wg.Wait()
 }
@@ -553,7 +554,7 @@ func (l *Layout) applySprings(active []int32) {
 }
 
 // springShard is applySprings over active[lo:hi].
-func (l *Layout) springShard(active []int32, _, lo, hi int) {
+func (l *Layout) springShard(active []int32, lo, hi int) {
 	k := l.params.Spring
 	rest := l.params.SpringLength
 	for m := lo; m < hi; m++ {
@@ -679,10 +680,7 @@ func Centroid(bodies []*Body) Point {
 	var sum Point
 	var w float64
 	for _, b := range bodies {
-		c := b.Charge
-		if c <= 0 {
-			c = 1
-		}
+		c := effCharge(b.Charge)
 		sum = sum.Add(b.Pos.Scale(c))
 		w += c
 	}

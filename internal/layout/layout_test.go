@@ -296,6 +296,53 @@ func TestBarnesHutForceAccuracy(t *testing.T) {
 	}
 }
 
+// The force field at scale: on a seeded, clustered 3,000-body layout
+// (the shape of a Grid'5000 view), Barnes-Hut's per-body relative force
+// error against Naive stays bounded at the default theta and shrinks as
+// theta falls. The bounds are 1.5× the values the arena tree measured
+// at theta 0.7 (max 4.349, mean 0.02868; the max is a body whose exact
+// forces nearly cancel); the flat tree's forces are bit-identical to it.
+func TestBarnesHutForceAccuracyAtScale(t *testing.T) {
+	pos, charges := clustered(3000)
+	l := New(DefaultParams())
+	for i, p := range pos {
+		mustAdd(t, l, fmt.Sprintf("b%d", i), p, charges[i])
+	}
+	for _, b := range l.bodies {
+		b.force = Point{}
+	}
+	l.repelNaive()
+	exact := make([]Point, len(l.bodies))
+	for i, b := range l.bodies {
+		exact[i] = b.force
+	}
+	errs := func(theta float64) (worst, mean float64) {
+		p := l.Params()
+		p.Theta = theta
+		l.SetParams(p)
+		for _, b := range l.bodies {
+			b.force = Point{}
+		}
+		l.repelBarnesHut(l.allIndices())
+		for i, b := range l.bodies {
+			e := b.force.Sub(exact[i]).Norm() / exact[i].Norm()
+			worst = math.Max(worst, e)
+			mean += e / float64(len(l.bodies))
+		}
+		return worst, mean
+	}
+	worst, mean := errs(0.7)
+	if worst > 1.5*4.349 || mean > 1.5*0.02868 {
+		t.Errorf("theta 0.7: max relative error %.4g (bound %.4g), mean %.4g (bound %.4g)",
+			worst, 1.5*4.349, mean, 1.5*0.02868)
+	}
+	_, coarse := errs(0.9)
+	_, fine := errs(0.5)
+	if !(fine <= mean && mean <= coarse) {
+		t.Errorf("mean relative error grows as theta falls: θ=0.9 %.4g, 0.7 %.4g, 0.5 %.4g", coarse, mean, fine)
+	}
+}
+
 func TestDeterministicLayout(t *testing.T) {
 	run := func() map[string]Point {
 		l := New(DefaultParams())

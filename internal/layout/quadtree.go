@@ -7,250 +7,252 @@ import "math"
 // repulsion into O(n log n) [Barnes & Hut 1986], which is what lets the
 // layout scale to thousands of nodes.
 //
-// The tree lives in a flat arena (a []quadNode slab addressed by index,
-// reused across steps) instead of individually heap-allocated nodes: the
-// interactive hot path rebuilds the tree every Step, and the arena turns
-// ~2n allocations per step into zero once the slab has grown to its
-// steady-state size. Child quadrants are allocated four at a time, so a
-// node's children occupy indices children..children+3. Traversal is
-// iterative over an explicit stack (one reusable stack per worker), which
-// both avoids recursion overhead and lets the force pass run on several
-// goroutines without any shared mutable state.
+// The tree is one flat slice of its non-empty cells in depth-first
+// preorder (quadrants -x-y, +x-y, -x+y, +x+y), reused across steps. Each
+// cell holds the index just past its subtree, so the walk is a forward
+// scan: accepting a cell skips its subtree, opening it steps into it. The
+// build partitions the bodies cell by cell, folding each quadrant's
+// charge in ascending body order, so each body's force is the same sum
+// of the same bits whichever worker built or walked the tree.
 
 const (
-	// maxQuadDepth bounds subdivision so coincident bodies cannot recurse
-	// forever; a node at the limit keeps its bodies aggregated.
-	maxQuadDepth = 64
-	// noNode marks an absent body or child-block index.
-	noNode = int32(-1)
+	maxQuadDepth = 64 // coincident bodies stay in one cell at this depth, a pile
+	noNode       = int32(-1)
 )
 
+// quadNode is one non-empty cell: its square [x, x+size) × [y, y+size),
+// its bodies' centre of charge and total charge, a one-body leaf's body
+// (else noNode) and the index past its subtree (i+1 for a leaf).
 type quadNode struct {
-	// Square region [x, x+size) × [y, y+size).
-	x, y, size float64
-
-	charge float64 // total charge of contained bodies
-	cx, cy float64 // centre of charge
-	body   int32   // body index for a leaf with exactly one body, else noNode
-	// children is the arena index of the first of four consecutive child
-	// nodes (quadrant k at children+k), or noNode for a leaf.
-	children int32
-	count    int32
+	x, y, size, cx, cy, charge float64
+	body, skip                 int32
 }
 
-// quadArena is the reusable slab the tree is built into. The zero value is
-// ready to use.
-type quadArena struct {
+// point is one body as the build partitions it, q its effCharge.
+type point struct {
+	x, y, q float64
+	i       int32
+}
+
+// cell is a square being built over the range [lo, hi) of its depth's
+// buffer (see buffers), its aggregate already folded.
+type cell struct {
+	x, y, size, cx, cy, charge float64
+	lo, hi, depth              int32
+}
+
+func (c *cell) fold(p *point) {
+	total := c.charge + p.q
+	c.cx = (c.cx*c.charge + p.x*p.q) / total
+	c.cy = (c.cy*c.charge + p.y*p.q) / total
+	c.charge = total
+}
+
+// segment is a run of cells in preorder, skips relative to its start.
+type segment struct {
 	nodes []quadNode
-	// maxDepth is the deepest level the last build reached — an
-	// observability statistic (obs gauge), not used by the force pass.
-	maxDepth int
-	root     int32 // root index of the last build, as build returned it
+	depth int32 // the deepest level, an obs gauge
 }
 
-// build constructs the tree over the bodies, reusing the slab from the
-// previous step, and returns the root index (noNode for no bodies).
-func (a *quadArena) build(bodies []*Body) int32 {
-	a.nodes = a.nodes[:0]
-	a.maxDepth = 0
-	if len(bodies) == 0 {
-		return noNode
+// add appends c's node, its skip still unset, and returns its index.
+func (s *segment) add(c *cell) int {
+	s.depth = max(s.depth, c.depth)
+	s.nodes = append(s.nodes, quadNode{c.x, c.y, c.size, c.cx, c.cy, c.charge, noNode, 0})
+	return len(s.nodes) - 1
+}
+
+// quadTree is the reusable tree; the zero value is ready to use.
+type quadTree struct {
+	segment          // the tree of the last build
+	pts, tmp []point // the bodies, partitioned cell by cell
+	// A parallel build's jobs, the root's quadrants, and their subtrees.
+	jobs [4]cell
+	segs [4]segment
+}
+
+// buildTree constructs the tree over the layout's bodies on w workers.
+func (l *Layout) buildTree(w int) {
+	t := &l.tree
+	t.segment = segment{t.nodes[:0], 0}
+	n := len(l.bodies)
+	if n == 0 {
+		return
 	}
-	minX, minY := bodies[0].Pos.X, bodies[0].Pos.Y
-	maxX, maxY := minX, minY
-	for _, b := range bodies[1:] {
-		if b.Pos.X < minX {
-			minX = b.Pos.X
-		}
-		if b.Pos.X > maxX {
-			maxX = b.Pos.X
-		}
-		if b.Pos.Y < minY {
-			minY = b.Pos.Y
-		}
-		if b.Pos.Y > maxY {
-			maxY = b.Pos.Y
-		}
+	if cap(t.pts) < n {
+		t.pts, t.tmp = make([]point, n), make([]point, n)
 	}
-	size := maxX - minX
-	if dy := maxY - minY; dy > size {
-		size = dy
-	}
+	t.pts, t.tmp = t.pts[:n], t.tmp[:n]
+	lo, hi := l.BoundingBox()
+	size := max(hi.X-lo.X, hi.Y-lo.Y)
 	if size <= 0 {
 		size = 1
 	}
-	size *= 1.0001 // keep the max coordinate strictly inside
-	root := a.alloc(minX, minY, size)
-	for i := range bodies {
-		a.insert(root, bodies, int32(i), 0)
+	root := cell{x: lo.X, y: lo.Y, size: size * 1.0001, hi: int32(n)} // the max coordinate stays inside
+	for i, b := range l.bodies {
+		t.pts[i] = point{b.Pos.X, b.Pos.Y, effCharge(b.Charge), int32(i)}
+		root.fold(&t.pts[i])
 	}
-	a.root = root
-	return root
-}
-
-// alloc appends one node. The returned index stays valid across later
-// appends; interior pointers do not, so every code path re-derives
-// &a.nodes[i] after any possible growth.
-func (a *quadArena) alloc(x, y, size float64) int32 {
-	a.nodes = append(a.nodes, quadNode{x: x, y: y, size: size, body: noNode, children: noNode})
-	return int32(len(a.nodes) - 1)
-}
-
-// allocChildren appends the four quadrants of node n as one consecutive
-// block and returns the index of the first.
-func (a *quadArena) allocChildren(n int32) int32 {
-	nd := a.nodes[n]
-	half := nd.size / 2
-	first := a.alloc(nd.x, nd.y, half)
-	a.alloc(nd.x+half, nd.y, half)
-	a.alloc(nd.x, nd.y+half, half)
-	a.alloc(nd.x+half, nd.y+half, half)
-	return first
-}
-
-// childFor returns the child of n covering p (the quadrants are laid out
-// row-major: -x-y, +x-y, -x+y, +x+y).
-func (a *quadArena) childFor(n int32, p Point) int32 {
-	nd := &a.nodes[n]
-	half := nd.size / 2
-	idx := int32(0)
-	if p.X >= nd.x+half {
-		idx++
+	if w == 1 || n == 1 {
+		t.grow(&t.segment, &root)
+		return
 	}
-	if p.Y >= nd.y+half {
-		idx += 2
-	}
-	return nd.children + idx
-}
-
-// insert descends from node n adding body bi, updating every aggregate on
-// the path. Iterative along the main descent; pushing a resident body down
-// on subdivision recurses (bounded by maxQuadDepth).
-func (a *quadArena) insert(n int32, bodies []*Body, bi int32, depth int) {
-	b := bodies[bi]
-	c := b.Charge
-	if c <= 0 {
-		c = 1
-	}
-	for {
-		if depth > a.maxDepth {
-			a.maxDepth = depth
+	// The workers grow the root's quadrants into their own segments and
+	// ranges of the partition buffers; the segments follow the root.
+	t.add(&root)
+	jobs := t.split(&root, &t.jobs)
+	l.fan(w, nil, jobs, 1, (*Layout).growJobs)
+	for _, s := range t.segs[:jobs] {
+		off := int32(len(t.nodes))
+		for _, nd := range s.nodes {
+			nd.skip += off
+			t.nodes = append(t.nodes, nd)
 		}
-		nd := &a.nodes[n]
-		// Update aggregate charge and centre of charge.
-		total := nd.charge + c
-		nd.cx = (nd.cx*nd.charge + b.Pos.X*c) / total
-		nd.cy = (nd.cy*nd.charge + b.Pos.Y*c) / total
-		nd.charge = total
-		nd.count++
+		t.depth = max(t.depth, s.depth)
+	}
+	t.nodes[0].skip = int32(len(t.nodes))
+}
 
-		if nd.count == 1 {
-			nd.body = bi
-			return
-		}
-		if depth >= maxQuadDepth {
-			// Coincident pile-up: the node stays aggregated.
-			return
-		}
-		if nd.children == noNode {
-			ci := a.allocChildren(n)
-			nd = &a.nodes[n] // re-derive: allocChildren may have grown the slab
-			nd.children = ci
-			// Push the resident body down.
-			if nd.body != noNode {
-				old := nd.body
-				nd.body = noNode
-				a.insert(a.childFor(n, bodies[old].Pos), bodies, old, depth+1)
-			}
-		}
-		n = a.childFor(n, b.Pos)
-		depth++
+// growJobs grows jobs[lo:hi] into segs[lo:hi].
+func (l *Layout) growJobs(_ []int32, lo, hi int) {
+	t := &l.tree
+	for k := lo; k < hi; k++ {
+		s := segment{t.segs[k].nodes[:0], 0} // private: headers share cache lines
+		t.grow(&s, &t.jobs[k])
+		t.segs[k] = s
 	}
 }
 
-// forceOn accumulates the Barnes-Hut approximated repulsion on body bi by
-// an iterative traversal from root, using (and returning, possibly grown)
-// the caller's stack. Children are pushed in reverse so quadrants are
-// visited in 0..3 order — the accumulation order is a fixed function of
-// the tree, independent of how bodies are sharded across workers, which
-// is what keeps parallel runs bit-for-bit equal to serial ones.
-func (a *quadArena) forceOn(root int32, bodies []*Body, bi int32, theta, chargeK float64, stack []int32) (Point, []int32) {
-	var out Point
-	b := bodies[bi]
-	bc := b.Charge
-	if bc <= 0 {
-		bc = 1
+// grow appends c's subtree to s in preorder: a cell of two or more
+// bodies splits until maxQuadDepth, where it stays a pile.
+func (t *quadTree) grow(s *segment, c *cell) {
+	i := s.add(c)
+	switch src, _ := t.buffers(c.depth); {
+	case c.hi-c.lo == 1:
+		s.nodes[i].body = src[c.lo].i
+	case c.depth < maxQuadDepth:
+		var kids [4]cell
+		for k, m := 0, t.split(c, &kids); k < m; k++ {
+			t.grow(s, &kids[k])
+		}
 	}
-	stack = append(stack[:0], root)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd := &a.nodes[n]
-		if nd.count == 0 {
+	s.nodes[i].skip = int32(len(s.nodes))
+}
+
+// buffers returns where a cell at depth d keeps its bodies and where its
+// split writes its children's: pts at even depths and tmp at odd ones,
+// so the partition never copies back.
+func (t *quadTree) buffers(d int32) (src, dst []point) {
+	if d&1 != 0 {
+		return t.tmp, t.pts
+	}
+	return t.pts, t.tmp
+}
+
+// split stably partitions c's bodies into its quadrants, folding each
+// quadrant's aggregate on the way, and writes the non-empty ones to kids
+// in quadrant order. It returns how many there are.
+func (t *quadTree) split(c *cell, kids *[4]cell) int {
+	src, dst := t.buffers(c.depth)
+	half := c.size / 2
+	xs, ys := [2]float64{c.x, c.x + half}, [2]float64{c.y, c.y + half}
+	var quads [4]cell // hi counts the quadrant's bodies until laid out
+	for k := c.lo; k < c.hi; k++ {
+		q := &quads[b2i(src[k].x >= xs[1])+2*b2i(src[k].y >= ys[1])]
+		q.fold(&src[k])
+		q.hi++
+	}
+	n, at, next := 0, c.lo, [4]int32{}
+	for q, k := range quads {
+		next[q], at = at, at+k.hi
+		if k.hi > 0 {
+			k.x, k.y, k.size, k.lo, k.hi, k.depth = xs[q&1], ys[q>>1], half, next[q], at, c.depth+1
+			kids[n], n = k, n+1
+		}
+	}
+	for k := c.lo; k < c.hi; k++ {
+		q := b2i(src[k].x >= xs[1]) + 2*b2i(src[k].y >= ys[1])
+		dst[next[q]] = src[k]
+		next[q]++
+	}
+	return n
+}
+
+// force returns the Barnes-Hut repulsion on body bi and the number of
+// terms it summed, visiting the cells in preorder.
+func (t *quadTree) force(bi int32, b *Body, theta2, chargeK float64) (f Point, terms int) {
+	bc := effCharge(b.Charge)
+	kb := chargeK * bc
+	px, py := b.Pos.X, b.Pos.Y
+	for i := int32(0); i < int32(len(t.nodes)); {
+		nd := &t.nodes[i]
+		if nd.body == bi {
+			i = nd.skip // b's own leaf
 			continue
 		}
-		if nd.body == bi && nd.count == 1 {
-			continue
-		}
-		dx := b.Pos.X - nd.cx
-		dy := b.Pos.Y - nd.cy
+		dx := px - nd.cx
+		dy := py - nd.cy
 		dist := dx*dx + dy*dy
-		// Opening criterion: size/dist < theta, or the cell holds a single
-		// body (or a coincident pile at the depth limit).
-		if nd.body != noNode || nd.children == noNode || nd.size*nd.size < theta*theta*dist {
-			if dist < 1e-6 {
-				// Coincident with the cell's centre: nudge deterministically.
-				h := fnv64(b.ID)
-				dx = float64(h%1000)/1000 - 0.5
-				dy = float64((h/1000)%1000)/1000 - 0.5
-				dist = dx*dx + dy*dy
-			}
-			d := math.Sqrt(dist)
-			// Exclude b's own contribution when it is inside this aggregate.
-			charge := nd.charge
-			if b.Pos.X >= nd.x && b.Pos.X < nd.x+nd.size && b.Pos.Y >= nd.y && b.Pos.Y < nd.y+nd.size {
-				charge -= bc
-				if charge <= 0 {
-					continue
-				}
-			}
-			mag := chargeK * bc * charge / dist
-			out.X += dx / d * mag
-			out.Y += dy / d * mag
+		// Open unless size/dist < theta or the cell is a leaf (or a pile).
+		if nd.skip != i+1 && !(nd.size*nd.size < theta2*dist) {
+			i++
 			continue
 		}
-		stack = append(stack, nd.children+3, nd.children+2, nd.children+1, nd.children)
+		i = nd.skip
+		if dist < 1e-6 {
+			// Coincident with the cell's centre: nudge deterministically.
+			h := fnv64(b.ID)
+			dx = float64(h%1000)/1000 - 0.5
+			dy = float64((h/1000)%1000)/1000 - 0.5
+			dist = dx*dx + dy*dy
+		}
+		d := math.Sqrt(dist)
+		// Exclude b's own charge when b lies in the cell's square (a pile's
+		// square collapses below the ulp away from the origin: b stays in).
+		charge := nd.charge
+		if b2i(px >= nd.x)&b2i(px < nd.x+nd.size)&b2i(py >= nd.y)&b2i(py < nd.y+nd.size) != 0 {
+			if charge -= bc; charge <= 0 {
+				continue
+			}
+		}
+		mag := kb * charge / dist
+		f.X += dx / d * mag
+		f.Y += dy / d * mag
+		terms++
 	}
-	return out, stack
+	return f, terms
+}
+
+// b2i is 1 for true: comparisons combined through it take no branches.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // repelBarnesHut builds the quadtree over ALL bodies (inactive ones must
-// keep pushing) and evaluates it for the active ones.
+// keep pushing) and adds its repulsion to the active ones.
 func (l *Layout) repelBarnesHut(active []int32) {
-	root := l.arena.build(l.bodies)
-	obsQuadNodes.Set(float64(len(l.arena.nodes)))
-	obsQuadDepth.Set(float64(l.arena.maxDepth))
-	if root == noNode {
-		return
+	l.buildTree(l.workersFor(len(l.bodies)))
+	obsQuadNodes.Set(float64(len(l.tree.nodes)))
+	obsQuadDepth.Set(float64(l.tree.depth))
+	if len(l.tree.nodes) > 0 {
+		l.forBodies(active, (*Layout).repelShard)
 	}
-	l.forBodies(active, (*Layout).repelShard)
 }
 
-// repelShard adds the Barnes-Hut repulsion to active[lo:hi], walking the
-// tree the last build left in the arena.
-func (l *Layout) repelShard(active []int32, w, lo, hi int) {
+// repelShard is repelBarnesHut over active[lo:hi].
+func (l *Layout) repelShard(active []int32, lo, hi int) {
 	theta := l.params.Theta
 	if theta <= 0 {
 		theta = 0.7
 	}
-	chargeK := l.params.Charge
-	stack := l.stacks[w]
-	for k := lo; k < hi; k++ {
-		i := active[k]
+	terms := 0
+	for _, i := range active[lo:hi] {
 		b := l.bodies[i]
-		var f Point
-		f, stack = l.arena.forceOn(l.arena.root, l.bodies, i, theta, chargeK, stack)
+		f, n := l.tree.force(i, b, theta*theta, l.params.Charge)
 		b.force = b.force.Add(f)
+		terms += n
 	}
-	l.stacks[w] = stack // keep the grown capacity for the next step
+	obsForceTerms.Add(uint64(terms))
 }

@@ -66,12 +66,18 @@ func TestQuadtreeDegenerateBoundingBox(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			mustAdd(t, l, fmt.Sprintf("v%d", i), Point{5, float64(i)}, 1)
 		}
-		root := l.arena.build(l.bodies)
-		if root == noNode {
+		l.buildTree(1)
+		if len(l.tree.nodes) == 0 {
 			t.Fatal("no tree built")
 		}
-		if got := l.arena.nodes[root].count; got != 8 {
-			t.Errorf("root count = %d, want 8", got)
+		leaves := 0
+		for _, nd := range l.tree.nodes {
+			if nd.body != noNode {
+				leaves++
+			}
+		}
+		if leaves != 8 {
+			t.Errorf("one-body leaves = %d, want 8", leaves)
 		}
 		l.Step(BarnesHut) // must not panic or produce NaNs
 		for _, b := range l.Bodies() {
@@ -83,32 +89,32 @@ func TestQuadtreeDegenerateBoundingBox(t *testing.T) {
 	t.Run("single point", func(t *testing.T) {
 		l := New(DefaultParams())
 		mustAdd(t, l, "only", Point{3, 4}, 2)
-		root := l.arena.build(l.bodies)
-		nd := l.arena.nodes[root]
+		l.buildTree(1)
+		nd := l.tree.nodes[0]
 		if nd.size <= 0 {
 			t.Errorf("degenerate root size %g", nd.size)
 		}
-		if nd.count != 1 || nd.body == noNode {
-			t.Errorf("single-body root: count=%d body=%d", nd.count, nd.body)
+		if len(l.tree.nodes) != 1 || nd.body == noNode {
+			t.Errorf("single-body root: nodes=%d body=%d", len(l.tree.nodes), nd.body)
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
 		l := New(DefaultParams())
-		if root := l.arena.build(l.bodies); root != noNode {
-			t.Errorf("empty build returned %d", root)
+		if l.buildTree(1); len(l.tree.nodes) != 0 {
+			t.Errorf("empty build made %d nodes", len(l.tree.nodes))
 		}
 		l.Step(BarnesHut) // no bodies: a no-op, not a crash
 	})
 }
 
-// The arena is reused: after a warm-up step, a serial Barnes-Hut step
-// performs (almost) no heap allocation — the point of the slab design.
+// The tree is reused: after a warm-up step, a serial Barnes-Hut step
+// performs (almost) no heap allocation — the point of the flat slice.
 func TestBarnesHutStepAllocationLean(t *testing.T) {
 	p := DefaultParams()
 	p.Parallelism = 1
 	l := New(p)
 	addScatter(t, l, 500, "a")
-	l.Step(BarnesHut) // warm up arena, stacks, adjacency
+	l.Step(BarnesHut) // warm up the tree and the adjacency
 	allocs := testing.AllocsPerRun(10, func() { l.Step(BarnesHut) })
 	if allocs > 4 {
 		t.Errorf("serial Barnes-Hut step allocates %.0f objects/step, want ~0", allocs)

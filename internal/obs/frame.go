@@ -41,6 +41,14 @@ type StageID int32
 
 const stageHelp = "Wall time of one pipeline stage span: request-path stages, live hops and whole frames."
 
+// stageBuckets are the stage histograms' bounds, in seconds: 1 µs to
+// 2.5 s in 1–2.5–5 steps, so a live hop of tens of µs and a cold open of
+// seconds each land in a bucket of their own size.
+var stageBuckets = []float64{
+	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+	1e-3, 2.5e-3, 5e-3, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
+}
+
 // RegisterStage interns a stage name, returning its id (idempotent), and
 // creates its viva_stage_seconds{stage=<name>} histogram in Default.
 // It panics past MaxStages — stages are a small fixed vocabulary.
@@ -59,7 +67,7 @@ func RegisterStage(name string) StageID {
 	if len(cur) >= MaxStages {
 		panic("obs: too many stages: " + name)
 	}
-	h := Default.Histogram(`viva_stage_seconds{stage="`+name+`"}`, stageHelp, nil)
+	h := Default.Histogram(`viva_stage_seconds{stage="`+name+`"}`, stageHelp, stageBuckets)
 	next := append(slices.Clip(cur), stageEntry{name, h})
 	stages.Store(&next)
 	return StageID(len(next) - 1)

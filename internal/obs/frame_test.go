@@ -269,3 +269,23 @@ func TestSpanFanout(t *testing.T) {
 	default:
 	}
 }
+
+// A stage histogram resolves the live hops' tens of µs: six 60 µs spans
+// report a p50 under 100 µs, not the ~0.25 ms a first bucket of 0.5 ms
+// would interpolate.
+func TestStageHistogramResolvesMicroseconds(t *testing.T) {
+	hop := obs.RegisterStage("test_hop")
+	ring := obs.NewRing(1)
+	for range 6 {
+		ring.Emit(hop, 60_000)
+	}
+	for _, m := range obs.Default.Snapshot() {
+		if m.Name == `viva_stage_seconds{stage="test_hop"}` {
+			if m.Count != 6 || m.P50 >= 100e-6 || m.P50 < 50e-6 {
+				t.Fatalf("six 60 µs spans: count %d, p50 %g s, want 6 and a p50 in [50, 100) µs", m.Count, m.P50)
+			}
+			return
+		}
+	}
+	t.Fatal("no histogram for the test stage")
+}

@@ -275,3 +275,93 @@ func TestSelfStreamSSE(t *testing.T) {
 	cancel()
 	<-done
 }
+
+// TestSelfStreamStaysOutOfFanout serves a frozen trace with the
+// self-stream attached to the process fan-out, as vivaserve -selfstream
+// does. The self-stream's own publisher hops and its SSE writes must not
+// reach the fan-out: otherwise they feed back into the meta-trace as
+// live-hop resources and mix into the stage histograms, although no
+// live stream runs.
+func TestSelfStreamStaysOutOfFanout(t *testing.T) {
+	feed := obs.NewSpanFeed(4096)
+	obs.Frames.Attach(feed)
+	defer obs.Frames.Detach(feed)
+	selfSt, err := stream.New(stream.NewSelfSource(feed), stream.Config{Tick: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	intake0 := stageCount(t, "intake")
+	s := New(testView(t))
+	s.SetSelfStream(selfSt)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- selfSt.Run(ctx) }()
+
+	resp, err := http.Get(ts.URL + "/api/stream/self")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	seen := map[string]bool{}
+	for i := 0; i < 40 && !(seen["frame"] && i >= 20); i++ {
+		if i%5 == 0 {
+			// A request-path frame: its stages are what the meta-trace
+			// is for.
+			r, err := http.Get(ts.URL + "/api/graph?steps=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Body.Close()
+		}
+		ev, err := readEvent(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f struct {
+			Series []struct {
+				Resource string `json:"resource"`
+			} `json:"series"`
+			Resources []struct {
+				Name string `json:"name"`
+			} `json:"resources"`
+		}
+		if err := json.Unmarshal([]byte(ev.data), &f); err != nil {
+			t.Fatalf("event %d: bad data: %v", i, err)
+		}
+		for _, r := range f.Resources {
+			seen[r.Name] = true
+		}
+		for _, s := range f.Series {
+			seen[s.Resource] = true
+		}
+	}
+	if !seen["frame"] {
+		t.Fatalf("the request-path frame never reached /api/stream/self (saw %v)", seen)
+	}
+	for _, hop := range []string{"intake", "apply", "window", "encode", "fanout", "write"} {
+		if seen[hop] {
+			t.Errorf("/api/stream/self declares the live hop %q with no live stream running", hop)
+		}
+	}
+	if got := stageCount(t, "intake") - intake0; got != 0 {
+		t.Errorf("viva_stage_seconds_count{stage=\"intake\"} rose by %d with no live stream running", got)
+	}
+	cancel()
+	<-done
+}
+
+// stageCount reads a stage histogram's observation count.
+func stageCount(t *testing.T, stage string) uint64 {
+	t.Helper()
+	for _, m := range obs.Default.Snapshot() {
+		if m.Name == `viva_stage_seconds{stage="`+stage+`"}` {
+			return m.Count
+		}
+	}
+	t.Fatalf("no histogram for stage %s", stage)
+	return 0
+}

@@ -160,7 +160,11 @@ func (s *Server) serveStream(w http.ResponseWriter, r *http.Request, st *stream.
 					return
 				}
 				wroteNs := obs.NowNs()
-				obs.Frames.Emit(obs.StageWrite, wroteNs-startNs)
+				if st != s.selfStream {
+					// The self-stream's writes stay out of the fan-out
+					// it drains, like its publisher's hops.
+					obs.Frames.Emit(obs.StageWrite, wroteNs-startNs)
+				}
 				// Delivery lag closes the source→client chain: each
 				// snapshot's publish stamp against the moment its bytes
 				// were flushed toward this subscriber.

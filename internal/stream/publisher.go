@@ -131,6 +131,11 @@ type Stream struct {
 
 	lastMean []float64 // per-series mean last emitted, for delta diffing
 
+	// quiet keeps the tick's hops out of the span fan-out: a stream over
+	// a SelfSource drains that fan-out, so its own hops would come back
+	// as ops of its next tick and mix with the served stream's.
+	quiet bool
+
 	lastPubNs  int64        // previous publish stamp (publisher-only)
 	lastDumpNs atomic.Int64 // anomaly-dump rate limit
 	started    atomic.Bool  // Run has begun (readiness probe)
@@ -147,7 +152,9 @@ func New(src Source, cfg Config) (*Stream, error) {
 			return nil, err
 		}
 	}
+	_, quiet := src.(*SelfSource)
 	s := &Stream{
+		quiet:   quiet,
 		Hub:     NewHub(cfg.MaxSubscribers, cfg.SubRing, cfg.ResumeWindow),
 		tr:      tr,
 		src:     src,
@@ -406,16 +413,19 @@ func (s *Stream) Run(ctx context.Context) error {
 // Each stage boundary hands the time since the previous one to the span
 // fan-out (obs.Ring.Emit: stage histogram, meta-trace, live span feed),
 // so one tick decomposes the same way an interactive frame does, without
-// landing in one.
+// landing in one. A stream over a SelfSource hands nothing: it drains
+// that fan-out.
 func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	start := obs.NowNs()
-	if len(batch) > 0 && firstOpNs > 0 {
+	if len(batch) > 0 && firstOpNs > 0 && !s.quiet {
 		obs.Frames.Emit(obs.StageIntake, start-firstOpNs)
 	}
 	mark := start
 	hop := func(stage obs.StageID) {
 		now := obs.NowNs()
-		obs.Frames.Emit(stage, now-mark)
+		if !s.quiet {
+			obs.Frames.Emit(stage, now-mark)
+		}
 		mark = now
 	}
 

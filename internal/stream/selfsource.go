@@ -13,7 +13,9 @@ import (
 // traces with — the paper's visualization loop closed over the system's
 // hot path. Attach the feed to the span fan-out with obs.Frames.Attach
 // and serve the resulting stream on /api/stream/self; whole interactive
-// frames arrive as the "frame" stage.
+// frames arrive as the "frame" stage. The stream built over it, and the
+// server's writes of that stream, report no hops of their own, so the
+// meta-trace never feeds on itself.
 type SelfSource struct {
 	feed *obs.SpanFeed
 }

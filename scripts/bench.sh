@@ -21,12 +21,18 @@
 # suite names (layout aggregation fault obs ingest sim store stream), so
 # one suite can be regenerated without rewriting the others' files:
 #   BENCH_SUITES=stream scripts/bench.sh 2s
+#
+# BENCH_COUNT (default 1) runs every benchmark that many times (go test
+# -count). Each recorded figure is then the median of the runs, and
+# ns_min/ns_max give the spread of ns/op:
+#   BENCH_COUNT=5 BENCH_SUITES=layout scripts/bench.sh 1s
 set -eu
 
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${1:-1x}"
-# The layout suite tracks per-step cost (naive, Barnes-Hut at 1-8 workers) and
+COUNT="${BENCH_COUNT:-1}"
+# The layout suite tracks per-step cost (naive, Barnes-Hut at 1-2 workers) and
 # the whole-layout convergence race: BenchmarkLayoutMultilevel vs
 # BenchmarkLayoutFlatConverge report ms-to-conv (wall-clock cold seed to
 # residual < eps), the multilevel speedup headline.
@@ -66,31 +72,50 @@ if c="$(git rev-parse --short HEAD 2>/dev/null)"; then
 fi
 
 # bench_objects RAW — convert `go test -bench` output lines like
-#   BenchmarkFoo/n=1024/p=4-8   123   456789 ns/op   10 B/op   2 allocs/op
-# into one JSON object per benchmark, one per line.
+#   BenchmarkFoo/n=1024/p=2-2   123   456789 ns/op   10 B/op   2 allocs/op
+# into one JSON object per benchmark, one per line, in first-run order.
+# A benchmark run several times (-count) records the median of each
+# figure, and ns_min/ns_max.
 bench_objects() {
     awk '
+BEGIN {
+    split("ns/op B/op allocs/op events/sec heap-bytes p99-push-ms ms-to-conv steps", unit, " ")
+    split("ns_per_op bytes_per_op allocs_per_op events_per_sec heap_bytes p99_push_ms ms_to_converged steps_to_converged", key, " ")
+}
 /^Benchmark/ && /ns\/op/ {
     name = $1; sub(/-[0-9]+$/, "", name)
-    ns = ""; bytes = "null"; allocs = "null"; evs = "null"; heap = "null"; p99 = "null"; conv = "null"; stp = "null"
-    for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")      ns = $(i-1)
-        if ($i == "B/op")       bytes = $(i-1)
-        if ($i == "allocs/op")  allocs = $(i-1)
-        if ($i == "events/sec") evs = $(i-1)
-        if ($i == "heap-bytes") heap = $(i-1)
-        if ($i == "p99-push-ms") p99 = $(i-1)
-        if ($i == "ms-to-conv") conv = $(i-1)
-        if ($i == "steps")      stp = $(i-1)
+    if (!(name in runs)) order[++names] = name
+    r = ++runs[name]
+    for (i = 2; i <= NF; i++)
+        for (u = 1; u <= 8; u++)
+            if ($i == unit[u]) val[name, u, r] = $(i-1)
+}
+# median sets lo and hi too; "null" when no run reported the figure.
+# It returns the figures as go test printed them (awk would reformat
+# large numbers).
+function median(name, u,    n, r, j, v, a, t) {
+    n = 0
+    for (r = 1; r <= runs[name]; r++) {
+        if (!((name, u, r) in val)) continue
+        v = val[name, u, r]
+        for (j = n; j > 0 && a[j] > v + 0; j--) { a[j+1] = a[j]; t[j+1] = t[j] }
+        a[j+1] = v + 0; t[j+1] = v; n++
     }
-    if (ns == "") next
-    printf "{\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s", name, ns, bytes, allocs
-    if (evs != "null") printf ", \"events_per_sec\": %s", evs
-    if (heap != "null") printf ", \"heap_bytes\": %s", heap
-    if (p99 != "null") printf ", \"p99_push_ms\": %s", p99
-    if (conv != "null") printf ", \"ms_to_converged\": %s", conv
-    if (stp != "null") printf ", \"steps_to_converged\": %s", stp
-    printf "}\n"
+    if (n == 0) return "null"
+    lo = t[1]; hi = t[n]
+    return t[int((n + 1) / 2)]
+}
+END {
+    for (k = 1; k <= names; k++) {
+        name = order[k]
+        ns = median(name, 1); nslo = lo; nshi = hi
+        printf "{\"name\": \"%s\", \"ns_per_op\": %s", name, ns
+        if (runs[name] > 1) printf ", \"ns_min\": %s, \"ns_max\": %s", nslo, nshi
+        printf ", \"bytes_per_op\": %s, \"allocs_per_op\": %s", median(name, 2), median(name, 3)
+        for (u = 4; u <= 8; u++)
+            if ((v = median(name, u)) != "null") printf ", \"%s\": %s", key[u], v
+        printf "}\n"
+    }
 }
 ' "$1"
 }
@@ -102,15 +127,17 @@ bench_objects() {
 to_json() {
     objs="$(bench_objects "$1")"
     {
-        printf '{\n  "benchmarks": [\n'
+        printf '{\n  "machine": {"go": "%s", "nproc": %s, "gomaxprocs": %s, "commit": "%s", "benchtime": "%s", "count": %s},\n' \
+            "$GO_VERSION" "$NPROC" "$MAXPROCS" "$COMMIT" "$BENCHTIME" "$COUNT"
+        printf '  "benchmarks": [\n'
         [ -n "$objs" ] && printf '%s\n' "$objs" | sed 's/^/    /; $!s/$/,/'
         printf '  ]\n}\n'
     } > "$2"
     echo "wrote $2 ($(grep -c '"name"' "$2") benchmarks)" >&2
 
     suite="${2#BENCH_}"; suite="${suite%.json}"
-    printf '{"time": "%s", "suite": "%s", "benchtime": "%s", "go": "%s", "nproc": %s, "gomaxprocs": %s, "commit": "%s", "benchmarks": [%s]}\n' \
-        "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$suite" "$BENCHTIME" "$GO_VERSION" "$NPROC" "$MAXPROCS" "$COMMIT" \
+    printf '{"time": "%s", "suite": "%s", "benchtime": "%s", "count": %s, "go": "%s", "nproc": %s, "gomaxprocs": %s, "commit": "%s", "benchmarks": [%s]}\n' \
+        "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$suite" "$BENCHTIME" "$COUNT" "$GO_VERSION" "$NPROC" "$MAXPROCS" "$COMMIT" \
         "$(printf '%s\n' "$objs" | awk 'NF { if (n++) printf ", "; printf "%s", $0 }')" >> BENCH_history.jsonl
 }
 
@@ -125,48 +152,48 @@ if want layout; then
     # -timeout 60m: the convergence races (FlatConverge at n=20000 in
     # particular) run whole cold layouts per iteration — that slowness is
     # the measurement, not a hang.
-    go test -run '^$' -bench "$LAYOUT_PATTERN" -benchmem -benchtime "$BENCHTIME" -timeout 60m . | tee "$RAW" >&2
+    go test -run '^$' -bench "$LAYOUT_PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" -timeout 60m . | tee "$RAW" >&2
     to_json "$RAW" BENCH_layout.json
 fi
 
 if want aggregation; then
     echo "running aggregation suite (-benchtime=$BENCHTIME, -bench='$AGG_PATTERN') ..." >&2
-    go test -run '^$' -bench "$AGG_PATTERN" -benchmem -benchtime "$BENCHTIME" . ./internal/aggregation | tee "$RAW" >&2
+    go test -run '^$' -bench "$AGG_PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/aggregation | tee "$RAW" >&2
     to_json "$RAW" BENCH_aggregation.json
 fi
 
 if want fault; then
     echo "running fault suite (-benchtime=$BENCHTIME, -bench='$FAULT_PATTERN') ..." >&2
-    go test -run '^$' -bench "$FAULT_PATTERN" -benchmem -benchtime "$BENCHTIME" . | tee "$RAW" >&2
+    go test -run '^$' -bench "$FAULT_PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . | tee "$RAW" >&2
     to_json "$RAW" BENCH_fault.json
 fi
 
 if want obs; then
     echo "running obs suite (-benchtime=$BENCHTIME, -bench='$OBS_PATTERN') ..." >&2
-    go test -run '^$' -bench "$OBS_PATTERN" -benchmem -benchtime "$BENCHTIME" ./internal/obs | tee "$RAW" >&2
+    go test -run '^$' -bench "$OBS_PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/obs | tee "$RAW" >&2
     to_json "$RAW" BENCH_obs.json
 fi
 
 if want ingest; then
     echo "running ingest suite (-benchtime=$BENCHTIME, -bench='$INGEST_PATTERN') ..." >&2
-    go test -run '^$' -bench "$INGEST_PATTERN" -benchmem -benchtime "$BENCHTIME" ./internal/paje ./internal/trace ./internal/ingest | tee "$RAW" >&2
+    go test -run '^$' -bench "$INGEST_PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/paje ./internal/trace ./internal/ingest | tee "$RAW" >&2
     to_json "$RAW" BENCH_ingest.json
 fi
 
 if want sim; then
     echo "running sim suite (-benchtime=$BENCHTIME, -bench='$SIM_PATTERN') ..." >&2
-    go test -run '^$' -bench "$SIM_PATTERN" -benchmem -benchtime "$BENCHTIME" -timeout 30m . | tee "$RAW" >&2
+    go test -run '^$' -bench "$SIM_PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" -timeout 30m . | tee "$RAW" >&2
     to_json "$RAW" BENCH_sim.json
 fi
 
 if want store; then
     echo "running store suite (-benchtime=$BENCHTIME, -bench='$STORE_PATTERN') ..." >&2
-    go test -run '^$' -bench "$STORE_PATTERN" -benchmem -benchtime "$BENCHTIME" ./internal/store | tee "$RAW" >&2
+    go test -run '^$' -bench "$STORE_PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/store | tee "$RAW" >&2
     to_json "$RAW" BENCH_store.json
 fi
 
 if want stream; then
     echo "running stream suite (-benchtime=$BENCHTIME, -bench='$STREAM_PATTERN') ..." >&2
-    go test -run '^$' -bench "$STREAM_PATTERN" -benchmem -benchtime "$BENCHTIME" -timeout 30m ./internal/stream | tee "$RAW" >&2
+    go test -run '^$' -bench "$STREAM_PATTERN" -benchmem -benchtime "$BENCHTIME" -count "$COUNT" -timeout 30m ./internal/stream | tee "$RAW" >&2
     to_json "$RAW" BENCH_stream.json
 fi
