@@ -118,7 +118,7 @@ func TestFirstStabilizeIsMultilevel(t *testing.T) {
 	}
 }
 
-// With at most MinBodies bodies the V-cycle has a single level, so the
+// With at most MultilevelMinBodies bodies the V-cycle has a single level, so the
 // cold start is exactly the flat solver: same steps, same bits.
 func TestStabilizeSmallViewMatchesRun(t *testing.T) {
 	tr := smallGridTrace(t)
@@ -130,7 +130,7 @@ func TestStabilizeSmallViewMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := a.Layout().Len(); n > layout.DefaultMultilevelParams().MinBodies {
+	if n := a.Layout().Len(); n > layout.MultilevelMinBodies {
 		t.Fatalf("view has %d bodies, want a single-level V-cycle", n)
 	}
 	const maxSteps, eps = 2000, 0.05

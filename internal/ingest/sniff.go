@@ -1,10 +1,38 @@
 package ingest
 
-import "bytes"
+import (
+	"bufio"
+	"bytes"
+	"compress/gzip"
+	"io"
+)
 
 // Content sniffing shared by the loaders (internal/traceio and
 // internal/store both need it; keeping it here avoids an import cycle
 // between them).
+
+// sniffLen is how much of a trace's head Unwrap peeks for sniffing.
+const sniffLen = 4096
+
+// Unwrap opens r for sniffing and reading: a gzip stream is decompressed
+// transparently, and head is the first up to 4 KiB of the content, peeked
+// from br without consuming it. Decompression holds no resources, so
+// there is nothing to close.
+func Unwrap(r io.Reader) (br *bufio.Reader, head []byte, err error) {
+	br = bufio.NewReaderSize(r, chunkSize)
+	if magic, err := br.Peek(2); err == nil && IsGzip(magic) {
+		gz, err := gzip.NewReader(br)
+		if err != nil {
+			return nil, nil, err
+		}
+		br = bufio.NewReaderSize(gz, chunkSize)
+	}
+	head, err = br.Peek(sniffLen)
+	if err != nil && err != io.EOF {
+		return nil, nil, err
+	}
+	return br, head, nil
+}
 
 // gzipMagic is the two-byte header every gzip stream starts with.
 var gzipMagic = []byte{0x1f, 0x8b}

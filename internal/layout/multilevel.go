@@ -40,8 +40,8 @@ var (
 )
 
 // mlLevelObs returns the lazily registered per-level series. Levels are a
-// small bounded vocabulary (maxed by MultilevelParams.MaxLevels), so the
-// label cardinality stays trivial.
+// small bounded vocabulary (at most maxLevels), so the label cardinality
+// stays trivial.
 func mlLevelObs(level int) (*obs.Counter, *obs.Gauge) {
 	mlLevelMu.Lock()
 	defer mlLevelMu.Unlock()
@@ -62,6 +62,30 @@ func mlLevelObs(level int) (*obs.Counter, *obs.Gauge) {
 	return c, g
 }
 
+// The V-cycle's fixed shape.
+const (
+	// MultilevelMinBodies stops coarsening once a level is at most this
+	// small; the coarsest graph is solved to convergence directly.
+	MultilevelMinBodies = 32
+	// maxLevels bounds the level chain.
+	maxLevels = 24
+	// coarseMaxSteps is the step budget for solving the coarsest level
+	// when it is not the finest one; it is cheap there, so it is
+	// generous.
+	coarseMaxSteps = 500
+	// levelMaxSteps is the refinement budget per intermediate level.
+	// Intermediate levels are cheap relative to the finest — an 8×
+	// coarsening costs ~1/8 per step — and letting them actually reach
+	// Eps is what keeps the finest level's budget small, so it is
+	// generous; settled levels stop early on Eps anyway.
+	levelMaxSteps = 400
+	// jitterFrac scatters the members of one super-body around its
+	// converged position, as a fraction of SpringLength. Zero jitter
+	// would drop coincident members onto the deterministic coulomb
+	// nudge, which separates them much more slowly.
+	jitterFrac = 0.35
+)
+
 // MultilevelParams tune the V-cycle.
 type MultilevelParams struct {
 	// Parent, when non-nil, drives hierarchy coarsening: bodies sharing a
@@ -70,21 +94,6 @@ type MultilevelParams struct {
 	// shrinking the graph (and graphs with no hierarchy at all) fall back
 	// to heavy-edge matching.
 	Parent ParentFunc
-	// MinBodies stops coarsening once a level is at most this small; the
-	// coarsest graph is solved to convergence directly. Default 32.
-	MinBodies int
-	// MaxLevels bounds the level chain. Default 24.
-	MaxLevels int
-	// CoarseMaxSteps is the step budget for solving the coarsest level
-	// when it is not the finest one; it is cheap there, so the default is
-	// generous (500).
-	CoarseMaxSteps int
-	// LevelMaxSteps is the refinement budget per intermediate level
-	// (default 400). Intermediate levels are cheap relative to the finest
-	// — an 8× coarsening costs ~1/8 per step — and letting them actually
-	// reach Eps is what keeps the finest level's budget small, so the
-	// default is generous; settled levels stop early on Eps anyway.
-	LevelMaxSteps int
 	// FinalMaxSteps is the refinement budget at the finest level (default
 	// 800) — the only budget paid at full graph size. A well-interpolated
 	// start converges in a fraction of it; the headroom is for stragglers.
@@ -92,48 +101,20 @@ type MultilevelParams struct {
 	// Eps is the residual (render px, see Layout.Residual) below which a
 	// level counts as converged. Default 0.5.
 	Eps float64
-	// JitterFrac scatters the members of one super-body around its
-	// converged position, as a fraction of SpringLength (default 0.35).
-	// Zero jitter would drop coincident members onto the deterministic
-	// coulomb nudge, which separates them much more slowly.
-	JitterFrac float64
 }
 
 // DefaultMultilevelParams returns the tuned defaults.
 func DefaultMultilevelParams() MultilevelParams {
-	return MultilevelParams{
-		MinBodies:      32,
-		MaxLevels:      24,
-		CoarseMaxSteps: 500,
-		LevelMaxSteps:  400,
-		FinalMaxSteps:  800,
-		Eps:            0.5,
-		JitterFrac:     0.35,
-	}
+	return MultilevelParams{FinalMaxSteps: 800, Eps: 0.5}
 }
 
 func (mp *MultilevelParams) fillDefaults() {
 	d := DefaultMultilevelParams()
-	if mp.MinBodies <= 0 {
-		mp.MinBodies = d.MinBodies
-	}
-	if mp.MaxLevels <= 0 {
-		mp.MaxLevels = d.MaxLevels
-	}
-	if mp.CoarseMaxSteps <= 0 {
-		mp.CoarseMaxSteps = d.CoarseMaxSteps
-	}
-	if mp.LevelMaxSteps <= 0 {
-		mp.LevelMaxSteps = d.LevelMaxSteps
-	}
 	if mp.FinalMaxSteps <= 0 {
 		mp.FinalMaxSteps = d.FinalMaxSteps
 	}
 	if mp.Eps <= 0 {
 		mp.Eps = d.Eps
-	}
-	if mp.JitterFrac <= 0 {
-		mp.JitterFrac = d.JitterFrac
 	}
 }
 
@@ -183,7 +164,7 @@ func (l *Layout) RunMultilevel(mp MultilevelParams) MultilevelStats {
 	levels := []*Layout{l}
 	owners := [][]int32{nil}
 	methods := []string{"finest"}
-	for levels[len(levels)-1].Len() > mp.MinBodies && len(levels) < mp.MaxLevels {
+	for levels[len(levels)-1].Len() > MultilevelMinBodies && len(levels) < maxLevels {
 		top := levels[len(levels)-1]
 		method := "hierarchy"
 		c, ok := coarsenHierarchy(top, mp.Parent)
@@ -205,16 +186,16 @@ func (l *Layout) RunMultilevel(mp MultilevelParams) MultilevelStats {
 	for k := len(levels) - 1; k >= 0; k-- {
 		lev := levels[k]
 		if k < len(levels)-1 {
-			interpolate(lev, levels[k+1], owners[k+1], mp.JitterFrac)
+			interpolate(lev, levels[k+1], owners[k+1], jitterFrac)
 		}
 		// The finest level is the caller's own graph, so its budget wins
 		// even when it is also the coarsest (nothing to coarsen).
-		budget := mp.LevelMaxSteps
+		budget := levelMaxSteps
 		switch k {
 		case 0:
 			budget = mp.FinalMaxSteps
 		case len(levels) - 1:
-			budget = mp.CoarseMaxSteps
+			budget = coarseMaxSteps
 		}
 		obsMLLevel.Set(float64(k))
 		// Coarse levels only seed the next finer one, so their residual

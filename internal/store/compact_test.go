@@ -103,3 +103,43 @@ func TestCompactFileColumnarInput(t *testing.T) {
 	}
 	compactAndCompare(t, tr, vvc.Bytes())
 }
+
+// compactReadAll compacts the native trace src through the streaming
+// path and materializes the result back.
+func compactReadAll(t *testing.T, src []byte) (*trace.Trace, error) {
+	t.Helper()
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "in.trace"), filepath.Join(dir, "out.vvc")
+	if err := os.WriteFile(in, src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := CompactFile(in, out, ingest.Options{}, WriterOptions{ChunkPoints: 4}); err != nil {
+		return nil, err
+	}
+	st, err := Open(out)
+	if err != nil {
+		t.Fatalf("compacted file does not open: %v", err)
+	}
+	defer st.Close()
+	tr, err := st.ReadAll()
+	if err != nil {
+		t.Fatalf("compacted file does not read back: %v", err)
+	}
+	return tr, nil
+}
+
+// TestCompactFileRejectsNonFiniteTime: the store refuses what the heap
+// reader refuses, one timed directive at a time.
+func TestCompactFileRejectsNonFiniteTime(t *testing.T) {
+	for directive, line := range map[string]string{
+		"set":   "set inf h usage 1",
+		"add":   "add -Inf h usage 1",
+		"state": "state NaN h busy",
+		"end":   "end +inf",
+	} {
+		src := "resource h host -\nset 0 h power 5\n" + line + "\nend 2\n"
+		if _, err := compactReadAll(t, []byte(src)); err == nil {
+			t.Errorf("%s: non-finite time accepted", directive)
+		}
+	}
+}

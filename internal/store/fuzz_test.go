@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"viva/internal/ingest"
 	"viva/internal/trace"
 )
 
@@ -74,5 +75,42 @@ func FuzzOpen(f *testing.F) {
 			}
 		}
 		_, _ = st.ReadAll()
+	})
+}
+
+// FuzzCompactMatchesRead holds the two native readers to one grammar:
+// trace.Read into the heap, and streaming CompactFile into a .vvc read
+// back with ReadAll. Both must reject an input, or both accept it with
+// byte-equal trace.Write output. Inputs CompactFile would route to
+// another reader (gzip, Paje, .vvc) are out of scope.
+func FuzzCompactMatchesRead(f *testing.F) {
+	f.Add([]byte("resource h host -\nset 0 h power 5\nset inf h usage 1\nend 2\n"))
+	f.Add([]byte("resource h host -\nset 0 h u 1e308\nadd 1 h u 1e308\n"))
+	f.Add([]byte("# viva trace v1\nresource g group -\nresource h host g\nresource l link g\nedge h l\n" +
+		"set 0 h power 5\nadd 1 h usage 2\nadd 1 h usage 3\nset 2 l traffic 1\nset 2 h usage 0\n" +
+		"set 3 h usage 1\nset 4 h usage 2\nstate 2 h busy\nstate 3 h -\nend 9\n"))
+	f.Add([]byte("resource h host -\nset 10 h usage 5\nset 4 h usage 2\nadd 20 h usage 7\nend 30\n"))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		if ingest.IsGzip(src) || ingest.IsPaje(src) || IsColumnar(src) {
+			t.Skip()
+		}
+		heap, herr := trace.Read(bytes.NewReader(src))
+		col, cerr := compactReadAll(t, src)
+		if (herr == nil) != (cerr == nil) {
+			t.Fatalf("trace.Read err = %v, CompactFile err = %v", herr, cerr)
+		}
+		if herr != nil {
+			return
+		}
+		var want, got bytes.Buffer
+		if err := trace.Write(&want, heap); err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.Write(&got, col); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("readers disagree\nheap:\n%s\nstore:\n%s", want.Bytes(), got.Bytes())
+		}
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
 
 	"viva/internal/ingest"
 	"viva/internal/obs"
@@ -137,6 +135,26 @@ func (w *Writer) SetEnd(t float64) {
 	if t > w.end {
 		w.end = t
 	}
+}
+
+// Apply performs one trace op, as trace.Appender.Apply does on the heap.
+func (w *Writer) Apply(op trace.Op) error {
+	switch op.Kind {
+	case trace.OpSet:
+		return w.Set(op.T, op.Resource, op.Metric, op.Value)
+	case trace.OpAdd:
+		return w.Add(op.T, op.Resource, op.Metric, op.Value)
+	case trace.OpState:
+		return w.SetState(op.T, op.Resource, op.Aux)
+	case trace.OpDeclare:
+		return w.DeclareResource(op.Resource, op.Metric, op.Aux)
+	case trace.OpEdge:
+		return w.DeclareEdge(op.Resource, op.Aux)
+	case trace.OpEnd:
+		w.SetEnd(op.T)
+		return nil
+	}
+	return fmt.Errorf("store: unknown op kind %d", op.Kind)
 }
 
 func (w *Writer) col(resource, metric string) (*colState, error) {
@@ -359,91 +377,26 @@ func WriteTrace(out io.Writer, tr *trace.Trace, opts WriterOptions) error {
 }
 
 // CompactFile converts a trace file (native or Paje, optionally
-// gzipped) into a columnar .vvc file. Native traces stream straight
-// from the ingest scanner into the writer — peak memory is
-// O(columns × ChunkPoints), never the trace — with one automatic
-// fallback: events that go back in time within a column (legal in the
-// heap model, rare in practice) force a second pass that materializes
-// the trace first. Paje traces always take the materializing path (the
-// Paje applier needs random access to its container state). The whole
-// conversion runs under an obs StageCompact span.
+// gzipped) into a columnar .vvc file. The input is sniffed once. Native
+// traces stream straight from the ingest scanner into the writer — peak
+// memory is O(columns × ChunkPoints), never the trace — with one
+// automatic fallback: events that go back in time within a column (legal
+// in the heap model, rare in practice) force a second pass that
+// materializes the trace first. Paje traces (the Paje applier needs
+// random access to its container state) and .vvc inputs are always
+// materialized. The whole conversion runs under an obs StageCompact span.
 func CompactFile(src, dst string, iopt ingest.Options, wopt WriterOptions) error {
 	sp := obs.StartSpan(obs.StageCompact)
 	defer sp.End()
 
-	err := compactStreaming(src, dst, iopt, wopt)
-	if errors.Is(err, ErrOutOfOrder) || errors.Is(err, errNeedsHeap) {
-		err = compactMaterialized(src, dst, iopt, wopt)
-	}
-	return err
-}
-
-// errNeedsHeap marks inputs the streaming path cannot handle (Paje,
-// already-columnar input).
-var errNeedsHeap = errors.New("store: input needs materializing")
-
-func compactStreaming(src, dst string, iopt ingest.Options, wopt WriterOptions) (err error) {
 	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
-	br := bufio.NewReaderSize(in, 256<<10)
-	if head, herr := br.Peek(2); herr == nil && ingest.IsGzip(head) {
-		gz, gerr := gzip.NewReader(br)
-		if gerr != nil {
-			return gerr
-		}
-		defer gz.Close()
-		br = bufio.NewReaderSize(gz, 256<<10)
-	}
-	head, herr := br.Peek(4096)
-	if herr != nil && herr != io.EOF {
-		return herr
-	}
-	if ingest.IsPaje(head) || IsColumnar(head) {
-		return errNeedsHeap
-	}
-
-	out, err := os.Create(dst)
+	br, head, err := ingest.Unwrap(in)
 	if err != nil {
 		return err
-	}
-	defer func() {
-		if cerr := out.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	w, err := NewWriter(out, wopt)
-	if err != nil {
-		return err
-	}
-	a := &streamApplier{w: w, in: ingest.NewInterner()}
-	if err := ingest.Scan(br, ingest.DialectNative, iopt, a.line); err != nil {
-		return err
-	}
-	ingest.Events.Add(uint64(a.events))
-	return w.Close()
-}
-
-func compactMaterialized(src, dst string, iopt ingest.Options, wopt WriterOptions) (err error) {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	br := bufio.NewReaderSize(in, 256<<10)
-	if head, herr := br.Peek(2); herr == nil && ingest.IsGzip(head) {
-		gz, gerr := gzip.NewReader(br)
-		if gerr != nil {
-			return gerr
-		}
-		defer gz.Close()
-		br = bufio.NewReaderSize(gz, 256<<10)
-	}
-	head, herr := br.Peek(4096)
-	if herr != nil && herr != io.EOF {
-		return herr
 	}
 	var tr *trace.Trace
 	switch {
@@ -457,12 +410,42 @@ func compactMaterialized(src, dst string, iopt ingest.Options, wopt WriterOption
 	case ingest.IsPaje(head):
 		tr, err = paje.ReadWith(br, iopt)
 	default:
+		err = create(dst, func(out io.Writer) error { return compactNative(br, out, iopt, wopt) })
+		if !errors.Is(err, ErrOutOfOrder) {
+			return err
+		}
+		if _, err = in.Seek(0, io.SeekStart); err != nil {
+			return err
+		}
+		if br, _, err = ingest.Unwrap(in); err != nil {
+			return err
+		}
 		tr, err = trace.ReadWith(br, iopt)
 	}
 	if err != nil {
 		return err
 	}
-	out, err := os.Create(dst)
+	return create(dst, func(out io.Writer) error { return WriteTrace(out, tr, wopt) })
+}
+
+// compactNative streams a native trace into a columnar file on out:
+// every directive goes through trace.ParseOp into Writer.Apply.
+func compactNative(r io.Reader, out io.Writer, iopt ingest.Options, wopt WriterOptions) error {
+	w, err := NewWriter(out, wopt)
+	if err != nil {
+		return err
+	}
+	events, err := trace.ScanOps(r, iopt, w.Apply)
+	if err != nil {
+		return err
+	}
+	ingest.Events.Add(uint64(events))
+	return w.Close()
+}
+
+// create writes the file at path through write, closing it after.
+func create(path string, write func(io.Writer) error) (err error) {
+	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
@@ -471,94 +454,5 @@ func compactMaterialized(src, dst string, iopt ingest.Options, wopt WriterOption
 			err = cerr
 		}
 	}()
-	return WriteTrace(out, tr, wopt)
-}
-
-// streamApplier is the sequential apply stage of streaming compaction:
-// the same directive grammar as the native trace reader, dispatched into
-// the columnar writer instead of an in-heap trace.
-type streamApplier struct {
-	w      *Writer
-	in     *ingest.Interner
-	events int
-}
-
-func (a *streamApplier) line(lineno int, kind ingest.LineKind, fields [][]byte) error {
-	if kind != ingest.LineEvent {
-		return nil
-	}
-	a.events++
-	w := a.w
-	switch string(fields[0]) {
-	case "resource":
-		if len(fields) != 4 {
-			return fmt.Errorf("store: line %d: resource wants 3 args", lineno)
-		}
-		parent := ""
-		if string(fields[3]) != "-" {
-			parent = a.in.Intern(fields[3])
-		}
-		if err := w.DeclareResource(a.in.Intern(fields[1]), a.in.Intern(fields[2]), parent); err != nil {
-			return fmt.Errorf("store: line %d: %v", lineno, err)
-		}
-	case "edge":
-		if len(fields) != 3 {
-			return fmt.Errorf("store: line %d: edge wants 2 args", lineno)
-		}
-		if err := w.DeclareEdge(a.in.Intern(fields[1]), a.in.Intern(fields[2])); err != nil {
-			return fmt.Errorf("store: line %d: %v", lineno, err)
-		}
-	case "set", "add":
-		if len(fields) != 5 {
-			return fmt.Errorf("store: line %d: %s wants 4 args", lineno, fields[0])
-		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("store: line %d: bad time %q", lineno, fields[1])
-		}
-		v, err := strconv.ParseFloat(string(fields[4]), 64)
-		if err != nil {
-			return fmt.Errorf("store: line %d: bad value %q", lineno, fields[4])
-		}
-		resource := a.in.Intern(fields[2])
-		metric := a.in.Intern(fields[3])
-		if fields[0][0] == 's' {
-			err = w.Set(t, resource, metric, v)
-		} else {
-			err = w.Add(t, resource, metric, v)
-		}
-		if err != nil {
-			if errors.Is(err, ErrOutOfOrder) {
-				return err // triggers the materializing fallback
-			}
-			return fmt.Errorf("store: line %d: %v", lineno, err)
-		}
-	case "state":
-		if len(fields) != 4 {
-			return fmt.Errorf("store: line %d: state wants 3 args", lineno)
-		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("store: line %d: bad time %q", lineno, fields[1])
-		}
-		v := ""
-		if string(fields[3]) != "-" {
-			v = a.in.Intern(fields[3])
-		}
-		if err := w.SetState(t, a.in.Intern(fields[2]), v); err != nil {
-			return fmt.Errorf("store: line %d: %v", lineno, err)
-		}
-	case "end":
-		if len(fields) != 2 {
-			return fmt.Errorf("store: line %d: end wants 1 arg", lineno)
-		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("store: line %d: bad time %q", lineno, fields[1])
-		}
-		w.SetEnd(t)
-	default:
-		return fmt.Errorf("store: line %d: unknown directive %q", lineno, fields[0])
-	}
-	return nil
+	return write(out)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"viva/internal/ingest"
@@ -39,8 +38,9 @@ var errStopFollow = errors.New("stream: follow complete")
 // contains into the live trace, without blocking for growth. Writers
 // emit the catalog prefix first, so a view opened over the live trace
 // starts with the full topology; Run re-emits the same declarations as
-// ops, which apply as no-ops. A missing file is not an error here — the
-// writer may not have started yet.
+// ops, which apply as no-ops. Every other line is skipped, malformed or
+// not: Run reports those, and the file may end mid-line. A missing file
+// is not an error here — the writer may not have started yet.
 func (f *Follow) Prime(tr *trace.Trace) error {
 	file, err := os.Open(f.path)
 	if err != nil {
@@ -50,29 +50,20 @@ func (f *Follow) Prime(tr *trace.Trace) error {
 		return err
 	}
 	defer file.Close()
+	app, in := tr.NewAppender(), ingest.NewInterner()
 	return ingest.Scan(file, ingest.DialectNative, ingest.Options{Parallelism: 1},
 		func(lineno int, kind ingest.LineKind, fields [][]byte) error {
 			if kind != ingest.LineEvent {
 				return nil
 			}
-			switch string(fields[0]) {
-			case "resource":
-				if len(fields) != 4 {
-					return fmt.Errorf("stream: line %d: resource wants 3 args", lineno)
-				}
-				parent := ""
-				if string(fields[3]) != "-" {
-					parent = string(fields[3])
-				}
-				return tr.DeclareResource(string(fields[1]), string(fields[2]), parent)
-			case "edge":
-				if len(fields) != 3 {
-					return fmt.Errorf("stream: line %d: edge wants 2 args", lineno)
-				}
-				return tr.DeclareEdge(string(fields[1]), string(fields[2]))
-			default:
+			op, err := trace.ParseOp(lineno, fields, in)
+			if err != nil || (op.Kind != OpDeclare && op.Kind != OpEdge) {
 				return nil
 			}
+			if err := app.Apply(op); err != nil {
+				return fmt.Errorf("stream: line %d: %v", lineno, err)
+			}
+			return nil
 		})
 }
 
@@ -85,10 +76,17 @@ func (f *Follow) Run(ctx context.Context, emit func(Op) error) error {
 	}
 	defer file.Close()
 	fr := &followReader{ctx: ctx, r: file, poll: f.poll}
-	p := &followParser{emit: emit, in: ingest.NewInterner()}
 	// Parallelism 1: the tail is latency-bound, not scan-bound, and the
 	// serial path applies lines the moment they complete.
-	err = ingest.Scan(fr, ingest.DialectNative, ingest.Options{Parallelism: 1}, p.line)
+	_, err = trace.ScanOps(fr, ingest.Options{Parallelism: 1}, func(op Op) error {
+		if err := emit(op); err != nil {
+			return err
+		}
+		if op.Kind == OpEnd {
+			return errStopFollow
+		}
+		return nil
+	})
 	if errors.Is(err, errStopFollow) {
 		return nil
 	}
@@ -119,82 +117,5 @@ func (fr *followReader) Read(p []byte) (int, error) {
 			return 0, fr.ctx.Err()
 		case <-time.After(fr.poll):
 		}
-	}
-}
-
-// followParser is the apply stage of the tail: the same directive
-// grammar as the native trace reader, emitting ops instead of mutating a
-// trace (the publisher owns the live trace and applies them there).
-type followParser struct {
-	emit func(Op) error
-	in   *ingest.Interner
-}
-
-func (p *followParser) line(lineno int, kind ingest.LineKind, fields [][]byte) error {
-	if kind != ingest.LineEvent {
-		return nil
-	}
-	switch string(fields[0]) {
-	case "resource":
-		if len(fields) != 4 {
-			return fmt.Errorf("stream: line %d: resource wants 3 args", lineno)
-		}
-		parent := ""
-		if string(fields[3]) != "-" {
-			parent = p.in.Intern(fields[3])
-		}
-		return p.emit(Op{Kind: OpDeclare,
-			Resource: p.in.Intern(fields[1]), Metric: p.in.Intern(fields[2]), Aux: parent})
-	case "edge":
-		if len(fields) != 3 {
-			return fmt.Errorf("stream: line %d: edge wants 2 args", lineno)
-		}
-		return p.emit(Op{Kind: OpEdge,
-			Resource: p.in.Intern(fields[1]), Aux: p.in.Intern(fields[2])})
-	case "set", "add":
-		if len(fields) != 5 {
-			return fmt.Errorf("stream: line %d: %s wants 4 args", lineno, fields[0])
-		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("stream: line %d: bad time %q", lineno, fields[1])
-		}
-		v, err := strconv.ParseFloat(string(fields[4]), 64)
-		if err != nil {
-			return fmt.Errorf("stream: line %d: bad value %q", lineno, fields[4])
-		}
-		kind := OpSet
-		if fields[0][0] == 'a' {
-			kind = OpAdd
-		}
-		return p.emit(Op{Kind: kind, T: t,
-			Resource: p.in.Intern(fields[2]), Metric: p.in.Intern(fields[3]), Value: v})
-	case "state":
-		if len(fields) != 4 {
-			return fmt.Errorf("stream: line %d: state wants 3 args", lineno)
-		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("stream: line %d: bad time %q", lineno, fields[1])
-		}
-		v := ""
-		if string(fields[3]) != "-" {
-			v = p.in.Intern(fields[3])
-		}
-		return p.emit(Op{Kind: OpState, T: t, Resource: p.in.Intern(fields[2]), Aux: v})
-	case "end":
-		if len(fields) != 2 {
-			return fmt.Errorf("stream: line %d: end wants 1 arg", lineno)
-		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("stream: line %d: bad time %q", lineno, fields[1])
-		}
-		if err := p.emit(Op{Kind: OpEnd, T: t}); err != nil {
-			return err
-		}
-		return errStopFollow
-	default:
-		return fmt.Errorf("stream: line %d: unknown directive %q", lineno, fields[0])
 	}
 }

@@ -44,11 +44,6 @@ type Config struct {
 	// Window is the Eq. 1 tail-window width in trace seconds (default 5).
 	Window float64
 
-	// Depth > 0 adds per-tick group roll-ups: each series is credited to
-	// its ancestor Depth hops up the containment hierarchy (clamped at
-	// the root), and the deltas carry one aggregate per (group, metric).
-	Depth int
-
 	// Admission and fan-out sizing, passed through to the hub.
 	MaxSubscribers int // default 8192, 503 beyond it
 	SubRing        int // per-subscriber snapshot ring (default 16)
@@ -119,8 +114,6 @@ type Stream struct {
 	cfg Config
 	lw  *aggregation.LiveWindow
 
-	parents map[string]string // containment, for group roll-ups
-
 	mu        sync.Mutex // guards the report fields below
 	ticks     int
 	events    int
@@ -154,16 +147,12 @@ func New(src Source, cfg Config) (*Stream, error) {
 	}
 	_, quiet := src.(*SelfSource)
 	s := &Stream{
-		quiet:   quiet,
-		Hub:     NewHub(cfg.MaxSubscribers, cfg.SubRing, cfg.ResumeWindow),
-		tr:      tr,
-		src:     src,
-		cfg:     cfg,
-		lw:      aggregation.NewLiveWindow(tr, cfg.Window),
-		parents: make(map[string]string),
-	}
-	for _, r := range tr.Resources() {
-		s.parents[r.Name] = r.Parent
+		quiet: quiet,
+		Hub:   NewHub(cfg.MaxSubscribers, cfg.SubRing, cfg.ResumeWindow),
+		tr:    tr,
+		src:   src,
+		cfg:   cfg,
+		lw:    aggregation.NewLiveWindow(tr, cfg.Window),
 	}
 	return s, nil
 }
@@ -237,11 +226,11 @@ type catalog struct {
 // Deltas (cat nil) carry only the series whose window aggregate changed
 // this tick; full frames carry the catalog and every series:
 //
-//	{"seq":n,"time":t,"window":[a,b],"events":n,"full":true,"resources":[…],"edges":[[a,b],…],"series":[…],"groups":[…]}
+//	{"seq":n,"time":t,"window":[a,b],"events":n,"full":true,"resources":[…],"edges":[[a,b],…],"series":[…]}
 //
-// full, an empty resources or edges list and an empty groups list are
-// left out; an empty series list is null.
-func encodeFrame(buf []byte, h frameHead, cat *catalog, series, groups []seriesStat) ([]byte, error) {
+// full and an empty resources or edges list are left out; an empty series
+// list is null.
+func encodeFrame(buf []byte, h frameHead, cat *catalog, series []seriesStat) ([]byte, error) {
 	e := wire.NewEncoder(buf)
 	e.Raw(`{"seq":`).Uint(h.seq)
 	e.Raw(`,"time":`).Float(h.time)
@@ -278,23 +267,12 @@ func encodeFrame(buf []byte, h frameHead, cat *catalog, series, groups []seriesS
 		}
 	}
 	e.Raw(`,"series":`)
-	appendStats(e, series)
-	if len(groups) > 0 {
-		e.Raw(`,"groups":`)
-		appendStats(e, groups)
-	}
-	e.Raw("}")
-	return e.Bytes()
-}
-
-// appendStats appends a series list, null when empty.
-func appendStats(e *wire.Encoder, stats []seriesStat) {
-	if len(stats) == 0 {
-		e.Raw("null")
-		return
+	if len(series) == 0 {
+		e.Raw("null}")
+		return e.Bytes()
 	}
 	e.Raw("[")
-	for i, st := range stats {
+	for i, st := range series {
 		if i > 0 {
 			e.Raw(",")
 		}
@@ -304,7 +282,8 @@ func appendStats(e *wire.Encoder, stats []seriesStat) {
 		e.Raw(`,"mean":`).Float(st.Mean)
 		e.Raw("}")
 	}
-	e.Raw("]")
+	e.Raw("]}")
+	return e.Bytes()
 }
 
 // Run drives the publisher until the source drains or ctx is cancelled.
@@ -435,14 +414,11 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	app := s.tr.NewAppender()
 	applied, errs := 0, 0
 	for _, op := range batch {
-		if err := op.apply(s.tr, app); err != nil {
+		if err := app.Apply(op); err != nil {
 			errs++
 			continue
 		}
 		applied++
-		if op.Kind == OpDeclare {
-			s.parents[op.Resource] = op.Aux
-		}
 	}
 	obsEvents.Add(uint64(applied))
 	hop(obs.StageApply)
@@ -464,12 +440,6 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 		cat = &catalog{resources: s.tr.Resources(), edges: s.tr.Edges()}
 	}
 
-	type groupKey struct{ group, metric string }
-	var groups map[groupKey]*seriesStat
-	if s.cfg.Depth > 0 {
-		groups = make(map[groupKey]*seriesStat)
-	}
-	var groupOrder []groupKey
 	var delta, all []seriesStat
 	i := 0
 	s.lw.Advance(now, func(resource, metric string, integral, mean float64) {
@@ -485,23 +455,8 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 		if full {
 			all = append(all, stat)
 		}
-		if groups != nil {
-			k := groupKey{s.ancestorAt(resource, s.cfg.Depth), metric}
-			g := groups[k]
-			if g == nil {
-				g = &seriesStat{Resource: k.group, Metric: metric}
-				groups[k] = g
-				groupOrder = append(groupOrder, k)
-			}
-			g.Integral += integral
-			g.Mean += mean
-		}
 		i++
 	})
-	var groupStats []seriesStat
-	for _, k := range groupOrder {
-		groupStats = append(groupStats, *groups[k])
-	}
 
 	if s.cfg.OnTick != nil {
 		s.cfg.OnTick(seq, now)
@@ -512,10 +467,10 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	hop(obs.StageWindow)
 
 	// Encode once, outside the lock: every subscriber shares these bytes.
-	data, err := encode(head, nil, delta, groupStats)
+	data, err := encode(head, nil, delta)
 	var fdata []byte
 	if full {
-		fdata, _ = encode(head, cat, all, groupStats)
+		fdata, _ = encode(head, cat, all)
 	}
 	hop(obs.StageEncode)
 
@@ -557,13 +512,13 @@ var framePool sync.Pool // of *[]byte
 // copy. The hub keeps the last ResumeWindow deltas and the subscriber
 // rings hold more, so spare capacity on each payload would stay resident
 // many times over.
-func encode(h frameHead, cat *catalog, series, groups []seriesStat) ([]byte, error) {
+func encode(h frameHead, cat *catalog, series []seriesStat) ([]byte, error) {
 	bp, _ := framePool.Get().(*[]byte)
 	if bp == nil {
 		bp = new([]byte)
 	}
 	defer framePool.Put(bp)
-	b, err := encodeFrame((*bp)[:0], h, cat, series, groups)
+	b, err := encodeFrame((*bp)[:0], h, cat, series)
 	if err != nil {
 		return nil, err
 	}
@@ -598,17 +553,4 @@ func (s *Stream) maybeAnomalyDump(seq uint64) {
 	var b strings.Builder
 	_ = obs.Flight.WriteText(&b)
 	slog.Warn("stream: flight recorder dump", "seq", seq, "dump", b.String())
-}
-
-// ancestorAt walks up the containment hierarchy. depth hops (clamping at
-// a root), returning the resource itself for depth <= 0.
-func (s *Stream) ancestorAt(name string, depth int) string {
-	for ; depth > 0; depth-- {
-		p := s.parents[name]
-		if p == "" {
-			break
-		}
-		name = p
-	}
-	return name
 }

@@ -81,55 +81,19 @@ var (
 	ErrClosed = errors.New("stream: hub closed")
 )
 
-// OpKind enumerates live trace operations.
-type OpKind uint8
-
-const (
-	// OpSet sets Resource/Metric to Value from time T on.
-	OpSet OpKind = iota
-	// OpAdd adds Value to Resource/Metric from time T on.
-	OpAdd
-	// OpState puts Resource into state Aux at time T ("" = idle).
-	OpState
-	// OpDeclare declares resource Resource of type Metric under parent
-	// Aux ("" = root).
-	OpDeclare
-	// OpEdge declares a topology edge Resource—Aux.
-	OpEdge
-	// OpEnd extends the observation window to T.
-	OpEnd
-)
-
 // Op is one live trace operation, the unit a Source emits and the
-// publisher applies. Field use varies by Kind; see the OpKind constants.
-type Op struct {
-	Kind     OpKind
-	T        float64
-	Resource string
-	Metric   string
-	Aux      string
-	Value    float64
-}
+// publisher applies: the native grammar's op (see trace.Op).
+type Op = trace.Op
 
-// apply performs the op against the live trace.
-func (op Op) apply(tr *trace.Trace, app *trace.Appender) error {
-	switch op.Kind {
-	case OpSet:
-		return app.Set(op.T, op.Resource, op.Metric, op.Value)
-	case OpAdd:
-		return app.Add(op.T, op.Resource, op.Metric, op.Value)
-	case OpState:
-		return tr.SetState(op.T, op.Resource, op.Aux)
-	case OpDeclare:
-		return tr.DeclareResource(op.Resource, op.Metric, op.Aux)
-	case OpEdge:
-		return tr.DeclareEdge(op.Resource, op.Aux)
-	case OpEnd:
-		tr.SetEnd(op.T)
-		return nil
-	}
-	return errors.New("stream: unknown op kind")
-}
+// The op kinds, under the names sources built on this package use.
+const (
+	OpSet     = trace.OpSet
+	OpAdd     = trace.OpAdd
+	OpState   = trace.OpState
+	OpDeclare = trace.OpDeclare
+	OpEdge    = trace.OpEdge
+	OpEnd     = trace.OpEnd
+)
 
 // Snapshot is one immutable published frame: a sequence number, the tick
 // it reflects, and the encoded JSON payload every subscriber shares.

@@ -327,6 +327,29 @@ func TestFollowSource(t *testing.T) {
 	}
 }
 
+// TestFollowRejectsNonFiniteTime: the live follower refuses what the heap
+// reader refuses, one timed directive at a time.
+func TestFollowRejectsNonFiniteTime(t *testing.T) {
+	for directive, line := range map[string]string{
+		"set":   "set inf h usage 1",
+		"add":   "add -Inf h usage 1",
+		"state": "state NaN h busy",
+		"end":   "end +inf",
+	} {
+		path := t.TempDir() + "/f.viva"
+		src := "resource h host -\nset 0 h power 5\n" + line + "\nend 2\n"
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := NewFollow(path).Run(ctx, func(Op) error { return nil })
+		if err == nil || ctx.Err() != nil {
+			t.Errorf("%s: err = %v, want the line refused", directive, err)
+		}
+		cancel()
+	}
+}
+
 // TestTickStaysOutOfFrames checks a publisher tick hands its hops to the
 // span fan-out in hop order, and that none of them lands in an
 // interactive frame open on the same ring meanwhile.

@@ -38,7 +38,6 @@ type frameJSON struct {
 	Resources []resourceJSON `json:"resources,omitempty"`
 	Edges     [][2]string    `json:"edges,omitempty"`
 	Series    []seriesJSON   `json:"series"`
-	Groups    []seriesJSON   `json:"groups,omitempty"`
 }
 
 func refStats(stats []seriesStat) []seriesJSON {
@@ -51,9 +50,9 @@ func refStats(stats []seriesStat) []seriesJSON {
 
 // refFrame is json.Marshal of the reference frame for encodeFrame's
 // inputs.
-func refFrame(h frameHead, cat *catalog, series, groups []seriesStat) ([]byte, error) {
+func refFrame(h frameHead, cat *catalog, series []seriesStat) ([]byte, error) {
 	f := frameJSON{Seq: h.seq, Time: h.time, Window: h.window, Events: h.events,
-		Series: refStats(series), Groups: refStats(groups)}
+		Series: refStats(series)}
 	if cat != nil {
 		f.Full = true
 		for _, r := range cat.resources {
@@ -67,8 +66,8 @@ func refFrame(h frameHead, cat *catalog, series, groups []seriesStat) ([]byte, e
 }
 
 // TestEncodeFrameMatchesReference pins encodeFrame to the reference on
-// quiet and busy deltas, full frames with and without a catalog, group
-// roll-ups, names needing escapes, exponent-form floats, and the error
+// quiet and busy deltas, full frames with and without a catalog, names
+// needing escapes, exponent-form floats, and the error
 // a non-finite aggregate raises.
 func TestEncodeFrameMatchesReference(t *testing.T) {
 	head := frameHead{seq: 42, time: 1e21, window: [2]float64{1e21 - 5, 1e21}, events: 7}
@@ -77,28 +76,25 @@ func TestEncodeFrameMatchesReference(t *testing.T) {
 		{`h<1>&"x"`, trace.MetricPower, 1e-7, -0.0000001},
 		{"hôte\u2028\xff", trace.MetricUsage, 0, 1.0 / 3},
 	}
-	groups := []seriesStat{{"root", trace.MetricUsage, 12.5, 2.8333333333333335}}
 	cat := &catalog{
 		resources: []*trace.Resource{{Name: "root", Type: trace.TypeGroup}, {Name: `h<1>&"x"`, Type: trace.TypeHost, Parent: "root"}},
 		edges:     []trace.Edge{{A: "h0", B: `h<1>&"x"`}},
 	}
 	for _, c := range []struct {
-		name           string
-		cat            *catalog
-		series, groups []seriesStat
+		name   string
+		cat    *catalog
+		series []seriesStat
 	}{
-		{"quiet delta", nil, nil, nil},
-		{"delta", nil, stats, nil},
-		{"delta with groups", nil, stats[:1], groups},
-		{"quiet delta with groups", nil, nil, groups},
-		{"full", cat, stats, groups},
-		{"full without catalog", &catalog{}, nil, nil},
+		{"quiet delta", nil, nil},
+		{"delta", nil, stats},
+		{"full", cat, stats},
+		{"full without catalog", &catalog{}, nil},
 	} {
-		got, err := encodeFrame(nil, head, c.cat, c.series, c.groups)
+		got, err := encodeFrame(nil, head, c.cat, c.series)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		want, err := refFrame(head, c.cat, c.series, c.groups)
+		want, err := refFrame(head, c.cat, c.series)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,21 +104,20 @@ func TestEncodeFrameMatchesReference(t *testing.T) {
 	}
 
 	bad := []seriesStat{{"h0", trace.MetricUsage, math.Inf(1), math.NaN()}}
-	_, err := encodeFrame(nil, head, nil, bad, nil)
-	_, refErr := refFrame(head, nil, bad, nil)
+	_, err := encodeFrame(nil, head, nil, bad)
+	_, refErr := refFrame(head, nil, bad)
 	if err == nil || refErr == nil || err.Error() != refErr.Error() {
 		t.Errorf("non-finite aggregate: error %v, reference %v", err, refErr)
 	}
 }
 
-// TestPublisherFramesMatchReference runs a publisher with group roll-ups
-// and requires every delta and full payload it published to survive a
+// TestPublisherFramesMatchReference runs a publisher and requires every delta and full payload it published to survive a
 // round trip through the reference struct byte for byte: the same field
 // order, omissions and nulls as json.Marshal.
 func TestPublisherFramesMatchReference(t *testing.T) {
 	cold := buildCold(t, 6, 400, 4)
 	// Paced so the run spans many ticks: deltas, periodic fulls, a final.
-	s, err := New(NewReplay(cold, 1000), Config{Tick: time.Millisecond, FullEvery: 3, Depth: 1})
+	s, err := New(NewReplay(cold, 1000), Config{Tick: time.Millisecond, FullEvery: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +146,8 @@ func TestPublisherFramesMatchReference(t *testing.T) {
 		if !bytes.Equal(again, sn.Data) {
 			t.Fatalf("snapshot %d (full %v) differs from the reference\n got: %s\nwant: %s", sn.Seq, sn.Full, sn.Data, again)
 		}
-		if sn.Full && (len(f.Resources) != len(cold.Resources()) || len(f.Edges) != len(cold.Edges()) || len(f.Groups) == 0) {
-			t.Fatalf("full snapshot %d: %d resources, %d edges, %d groups", sn.Seq, len(f.Resources), len(f.Edges), len(f.Groups))
+		if sn.Full && (len(f.Resources) != len(cold.Resources()) || len(f.Edges) != len(cold.Edges())) {
+			t.Fatalf("full snapshot %d: %d resources, %d edges", sn.Seq, len(f.Resources), len(f.Edges))
 		}
 	}
 	t.Logf("%d snapshots, %d quiet deltas", len(snaps), quiet)

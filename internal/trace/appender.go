@@ -1,7 +1,5 @@
 package trace
 
-import "fmt"
-
 // Appender is a write-optimized front end to a Trace for bulk ingestion.
 // Readers apply millions of Set/Add events, usually many in a row against
 // the same (resource, metric) pair; the Appender memoizes the last
@@ -40,12 +38,7 @@ func (a *Appender) Set(t float64, resource, metric string, v float64) error {
 	if err != nil {
 		return err
 	}
-	if !validNumber(v) {
-		return fmt.Errorf("trace: non-finite value for %s/%s at t=%g", resource, metric, v)
-	}
-	tl.Set(t, v)
-	a.tr.observe(t)
-	return nil
+	return a.tr.put(tl, t, resource, metric, v)
 }
 
 // Add is Trace.Add through the memoized timeline lookup.
@@ -54,10 +47,5 @@ func (a *Appender) Add(t float64, resource, metric string, dv float64) error {
 	if err != nil {
 		return err
 	}
-	if !validNumber(dv) {
-		return fmt.Errorf("trace: non-finite delta for %s/%s at t=%g", resource, metric, t)
-	}
-	tl.Add(t, dv)
-	a.tr.observe(t)
-	return nil
+	return a.tr.put(tl, t, resource, metric, tl.At(t)+dv)
 }

@@ -14,4 +14,8 @@
 // aggregation cuts across. Resources also declare a type (for example
 // "host" or "link"); the visualization maps each type to its own geometric
 // shape and its own independent size scale.
+//
+// Each line of the text format parses into an Op (ParseOp), the one
+// vocabulary of trace mutations: the heap trace, the columnar store and
+// the live stream all apply the same Ops.
 package trace

@@ -22,7 +22,9 @@ import (
 //
 // Names containing whitespace are not supported (and never produced by the
 // generators); the format favours diffability and streaming over
-// generality.
+// generality. ParseOp is its one parser: every native reader (this
+// package's Read, the columnar store's compaction, the live follower)
+// turns lines into Ops through it.
 
 const formatHeader = "# viva trace v1"
 
@@ -124,102 +126,14 @@ func Read(r io.Reader) (*Trace, error) {
 
 // ReadWith is Read with explicit ingestion options.
 func ReadWith(r io.Reader, opt ingest.Options) (*Trace, error) {
-	a := &formatApplier{tr: New(), in: ingest.NewInterner()}
-	a.app = a.tr.NewAppender()
-	err := ingest.Scan(r, ingest.DialectNative, opt, a.line)
-	ingest.Events.Add(uint64(a.events))
+	tr := New()
+	events, err := ScanOps(r, opt, tr.NewAppender().Apply)
+	ingest.Events.Add(uint64(events))
 	if err != nil {
 		return nil, err
 	}
-	if err := a.tr.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return a.tr, nil
-}
-
-// formatApplier is the sequential apply stage of the native reader: it
-// receives zero-copy token batches from the scan stage and performs the
-// stateful directive dispatch, interning the names it keeps.
-type formatApplier struct {
-	tr     *Trace
-	app    *Appender
-	in     *ingest.Interner
-	events int
-}
-
-func (a *formatApplier) line(lineno int, kind ingest.LineKind, fields [][]byte) error {
-	if kind != ingest.LineEvent {
-		return nil
-	}
-	a.events++
-	tr := a.tr
-	switch string(fields[0]) {
-	case "resource":
-		if len(fields) != 4 {
-			return fmt.Errorf("trace: line %d: resource wants 3 args", lineno)
-		}
-		parent := ""
-		if string(fields[3]) != "-" {
-			parent = a.in.Intern(fields[3])
-		}
-		if err := tr.DeclareResource(a.in.Intern(fields[1]), a.in.Intern(fields[2]), parent); err != nil {
-			return fmt.Errorf("trace: line %d: %v", lineno, err)
-		}
-	case "edge":
-		if len(fields) != 3 {
-			return fmt.Errorf("trace: line %d: edge wants 2 args", lineno)
-		}
-		if err := tr.DeclareEdge(a.in.Intern(fields[1]), a.in.Intern(fields[2])); err != nil {
-			return fmt.Errorf("trace: line %d: %v", lineno, err)
-		}
-	case "set", "add":
-		if len(fields) != 5 {
-			return fmt.Errorf("trace: line %d: %s wants 4 args", lineno, fields[0])
-		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("trace: line %d: bad time %q", lineno, fields[1])
-		}
-		v, err := strconv.ParseFloat(string(fields[4]), 64)
-		if err != nil {
-			return fmt.Errorf("trace: line %d: bad value %q", lineno, fields[4])
-		}
-		resource := a.in.Intern(fields[2])
-		metric := a.in.Intern(fields[3])
-		if fields[0][0] == 's' {
-			err = a.app.Set(t, resource, metric, v)
-		} else {
-			err = a.app.Add(t, resource, metric, v)
-		}
-		if err != nil {
-			return fmt.Errorf("trace: line %d: %v", lineno, err)
-		}
-	case "state":
-		if len(fields) != 4 {
-			return fmt.Errorf("trace: line %d: state wants 3 args", lineno)
-		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("trace: line %d: bad time %q", lineno, fields[1])
-		}
-		v := ""
-		if string(fields[3]) != "-" {
-			v = a.in.Intern(fields[3])
-		}
-		if err := tr.SetState(t, a.in.Intern(fields[2]), v); err != nil {
-			return fmt.Errorf("trace: line %d: %v", lineno, err)
-		}
-	case "end":
-		if len(fields) != 2 {
-			return fmt.Errorf("trace: line %d: end wants 1 arg", lineno)
-		}
-		t, err := strconv.ParseFloat(string(fields[1]), 64)
-		if err != nil {
-			return fmt.Errorf("trace: line %d: bad time %q", lineno, fields[1])
-		}
-		tr.SetEnd(t)
-	default:
-		return fmt.Errorf("trace: line %d: unknown directive %q", lineno, fields[0])
-	}
-	return nil
+	return tr, nil
 }

@@ -218,24 +218,26 @@ func (tr *Trace) Set(t float64, resource, metric string, v float64) error {
 	if err != nil {
 		return err
 	}
-	if !validNumber(v) {
-		return fmt.Errorf("trace: non-finite value for %s/%s at t=%g", resource, metric, v)
-	}
-	tl.Set(t, v)
-	tr.observe(t)
-	return nil
+	return tr.put(tl, t, resource, metric, v)
 }
 
-// Add records metric += dv on the resource from time t on.
+// Add records metric += dv on the resource from time t on. The sum must be
+// finite, as a Set value must: a finite delta can still overflow it.
 func (tr *Trace) Add(t float64, resource, metric string, dv float64) error {
 	tl, err := tr.ensure(resource, metric)
 	if err != nil {
 		return err
 	}
-	if !validNumber(dv) {
-		return fmt.Errorf("trace: non-finite delta for %s/%s at t=%g", resource, metric, t)
+	return tr.put(tl, t, resource, metric, tl.At(t)+dv)
+}
+
+// put writes v on the (resource, metric) timeline tl from time t on,
+// refusing a non-finite value.
+func (tr *Trace) put(tl *Timeline, t float64, resource, metric string, v float64) error {
+	if !validNumber(v) {
+		return fmt.Errorf("trace: non-finite value for %s/%s at t=%g", resource, metric, t)
 	}
-	tl.Add(t, dv)
+	tl.Set(t, v)
 	tr.observe(t)
 	return nil
 }

@@ -9,7 +9,6 @@ package traceio
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
@@ -64,17 +63,8 @@ func ReadWith(r io.Reader, opt ingest.Options) (*trace.Trace, error) {
 	sp := obs.StartSpan(obs.StageIngest)
 	defer sp.End()
 
-	br := bufio.NewReaderSize(r, 64*1024)
-	if head, err := br.Peek(2); err == nil && ingest.IsGzip(head) {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		br = bufio.NewReaderSize(gz, 64*1024)
-	}
-	head, err := br.Peek(4096)
-	if err != nil && err != io.EOF {
+	br, head, err := ingest.Unwrap(r)
+	if err != nil {
 		return nil, err
 	}
 	if store.IsColumnar(head) {
