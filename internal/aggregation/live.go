@@ -5,8 +5,8 @@ import "viva/internal/trace"
 // LiveWindow reports the temporal half of Equation 1, per-series
 // integral and time mean, over the advancing tail window of a *growing*
 // trace. Each Advance is TimeAggregate over [hi−width, hi] for every
-// (resource, metric) timeline: the monotone appends of live ingestion
-// extend each timeline's index in place, so a window costs two point
+// (resource, metric) timeline: each append of live ingestion extends its
+// timeline's prefixes and chunk directory, so a window costs two point
 // lookups per series whatever the trace's length, and its result is
 // the cold TimeAggregate's by construction. Out-of-order data and a
 // window that moves backwards need no special case.

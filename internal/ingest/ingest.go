@@ -205,15 +205,19 @@ func Fields(line []byte, out [][]byte) [][]byte {
 // Unicode TrimSpace, '#' comments, Paje '%' headers split like
 // strings.Fields, quote-aware event tokens (Paje) or plain fields
 // (native).
+//
+// out may already hold earlier lines' tokens (a scan chunk shares one
+// token buffer), so a line's kind depends only on what it appended.
 func tokenizeLine(d Dialect, raw []byte, out [][]byte) (LineKind, [][]byte) {
 	line := bytes.TrimSpace(raw)
 	if len(line) == 0 || line[0] == '#' {
 		return LineSkip, out
 	}
+	n := len(out)
 	if d == DialectPaje {
 		if line[0] == '%' {
 			out = Fields(line[1:], out)
-			if len(out) == 0 {
+			if len(out) == n {
 				return LineSkip, out
 			}
 			return LineHeader, out
@@ -222,7 +226,7 @@ func tokenizeLine(d Dialect, raw []byte, out [][]byte) (LineKind, [][]byte) {
 	} else {
 		out = Fields(line, out)
 	}
-	if len(out) == 0 {
+	if len(out) == n {
 		return LineSkip, out
 	}
 	return LineEvent, out

@@ -133,6 +133,20 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestScanSkipsTokenlessLines feeds a '%' header and a lone quote, lines
+// that tokenize to nothing, after lines that did not: in both modes they
+// reach the apply stage as skips, never as a header or an event with no
+// tokens (the pipelined scan shares one token buffer across a chunk).
+func TestScanSkipsTokenlessLines(t *testing.T) {
+	input := "%EventDef X 1\n%\n1 a\n\"\n1 b\n"
+	want := []string{"1/1: <EventDef> <X> <1>", "2/0:", "3/2: <1> <a>", "4/0:", "5/2: <1> <b>"}
+	for _, p := range []int{1, 2} {
+		if got := scanToStrings(t, input, DialectPaje, Options{Parallelism: p}); !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: got %q, want %q", p, got, want)
+		}
+	}
+}
+
 // TestScanHugeLine covers a single line far larger than a chunk in both
 // modes (it must grow, not split), and the over-limit failure.
 func TestScanHugeLine(t *testing.T) {

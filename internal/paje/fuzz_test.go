@@ -30,6 +30,13 @@ func FuzzPajeParse(f *testing.F) {
 	f.Add("%EndEventDef\n")
 	f.Add("%EventDef X 1\n% Time date\n%EndEventDef\n1 \"unterminated\n")
 	f.Add("%EventDef PajeAddVariable 9\n% Time date\n% Value double\n%EndEventDef\n9 1e308 1e308\r\n9 -1e308 -1e308\n")
+	// A header line and a body line that tokenize to nothing, after
+	// lines that did (the pipelined scan shares one token buffer).
+	f.Add("%EventDef 0 0\n%\n")
+	f.Add("%EventDef 000000000000000 0\n\"\n")
+	// Non-finite times on a variable and on a state event.
+	f.Add(sampleHeader + sampleBody + "6 inf power h1 80\n")
+	f.Add(sampleHeader + sampleBody + "10 NaN STATE p1 Ssend\n")
 	// Quoted tokens in every position, including empty and glued quotes.
 	f.Add(sampleHeader + "4 0 \"c 1\" ZONE 0 \"\"\n4 0 c2\"x\"y ZONE 0 \"a\tb\"\n6 0 power \"c 1\" 1\n")
 	// CRLF endings throughout, with a quoted token spanning spaces.

@@ -26,6 +26,7 @@ package paje
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -268,6 +269,9 @@ func (p *parser) getTime(def *eventDef, args [][]byte) (float64, error) {
 	t, err := strconv.ParseFloat(string(s), 64)
 	if err != nil {
 		return 0, p.errf("bad time %q", s)
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return 0, p.errf("non-finite time %q", s)
 	}
 	return t, nil
 }

@@ -291,3 +291,30 @@ func TestTraceErrorsCarryLineNumbers(t *testing.T) {
 		t.Fatalf("error %q does not surface the trace-layer cause", err)
 	}
 }
+
+// TestReadRejectsNonFiniteTime appends one event with a non-finite Time
+// to the sample, once per event whose time the reader uses: each must be
+// refused with the line it sits on, as the native reader does, rather
+// than stretch the observation window to infinity.
+func TestReadRejectsNonFiniteTime(t *testing.T) {
+	for _, c := range []struct{ event, line string }{
+		{"PajeSetVariable", "6 inf power h1 80"},
+		{"PajeAddVariable", "7 +Inf bwu l1 10"},
+		{"PajeSubVariable", "8 -inf bwu l1 10"},
+		{"PajeSetState", "9 NaN STATE p1 Scompute"},
+		{"PajePushState", "10 Infinity STATE p1 Ssend"},
+		{"PajePopState", "11 -Infinity STATE p1"},
+	} {
+		text := sampleHeader + sampleBody + c.line + "\n"
+		tr, err := Read(strings.NewReader(text))
+		if err == nil {
+			start, end := tr.Window()
+			t.Errorf("%s: %q accepted, window [%g, %g]", c.event, c.line, start, end)
+			continue
+		}
+		want := fmt.Sprintf("line %d: non-finite time", strings.Count(text, "\n"))
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q lacks %q", c.event, err, want)
+		}
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -176,6 +177,9 @@ func (p *refParser) event(line string) error {
 		t, err := strconv.ParseFloat(s, 64)
 		if err != nil {
 			return 0, p.errf("bad time %q", s)
+		}
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return 0, p.errf("non-finite time %q", s)
 		}
 		return t, nil
 	}

@@ -25,8 +25,8 @@
 // times[count] ++ values[count] ++ prefix[count] (float64 each, so
 // 24*count bytes), optionally flate-compressed when that makes it
 // smaller. prefix[i] is the ABSOLUTE cumulative integral of the column's
-// step function up to point i, computed by the trace.ColumnBuilder the
-// in-heap timeline index runs, and every query is answered by the same
+// step function up to point i, computed by trace.IntegralAt as the
+// in-heap timeline computes it, and every query is answered by the same
 // trace.Column kernel on both sides — which is what makes store-backed
 // query results bit-identical to heap-backed ones.
 //

@@ -47,16 +47,19 @@ type WriterOptions struct {
 
 type colKey struct{ resource, metric string }
 
-// colState buffers one column's open chunk; its trace.ColumnBuilder runs
-// the prefix recurrence and the chunk statistics. The builder closes a
-// chunk only when a strictly later point arrives on a full one, so an
-// equal-time overwrite of the last point, which the trace model allows,
-// always lands in the buffer, never in a closed chunk.
+// colState buffers one column's open chunk. A full chunk is flushed
+// only when a strictly later point arrives, so an equal-time overwrite of
+// the last point, which the trace model allows, always lands in the
+// buffer, never in a flushed chunk: the heap timeline's rule, which keeps
+// the two directories identical.
 type colState struct {
 	resource, metric      string
 	times, values, prefix []float64 // the open chunk
-	b                     trace.ColumnBuilder
-	chunks                []chunkEntry
+	// last is the column's last point and its prefix, which the next
+	// point's prefix is computed from; n counts the points so far.
+	lastT, lastV, lastPref float64
+	n                      int
+	chunks                 []chunkEntry
 }
 
 // chunkEntry is one closed chunk's footer directory entry.
@@ -167,7 +170,7 @@ func (w *Writer) col(resource, metric string) (*colState, error) {
 	k := colKey{resource, metric}
 	c, ok := w.cols[k]
 	if !ok {
-		c = &colState{resource: resource, metric: metric, b: trace.NewColumnBuilder(w.opts.ChunkPoints)}
+		c = &colState{resource: resource, metric: metric}
 		w.cols[k] = c
 		w.colOrder = append(w.colOrder, c)
 	}
@@ -187,26 +190,30 @@ func (w *Writer) Set(t float64, resource, metric string, v float64) error {
 		return fmt.Errorf("store: non-finite value for %s/%s at t=%g", resource, metric, t)
 	}
 	obsCompactEvents.Inc()
-	lastT, _ := c.b.Last()
 	switch {
-	case c.b.Len() == 0 || t > lastT:
-		// The heap timeline index's builder, so prefix values, and every
+	case c.n == 0 || t > c.lastT:
+		// The heap timeline's recurrence, so prefix values, and every
 		// Integrate derived from them, are bit-identical between store
 		// and heap.
-		pref, closed := c.b.Add(t, v)
-		if closed != nil {
-			if err := w.flush(c, closed); err != nil {
+		pref := 0.0
+		if c.n > 0 {
+			pref = trace.IntegralAt(c.lastPref, c.lastV, c.lastT, t)
+		}
+		if len(c.times) == w.opts.ChunkPoints {
+			if err := w.flush(c); err != nil {
 				return err
 			}
 		}
 		c.times = append(c.times, t)
 		c.values = append(c.values, v)
 		c.prefix = append(c.prefix, pref)
-	case t == lastT:
+		c.lastT, c.lastV, c.lastPref = t, v, pref
+		c.n++
+	case t == c.lastT:
 		c.values[len(c.values)-1] = v
-		c.b.OverwriteLast(v)
+		c.lastV = v
 	default:
-		return fmt.Errorf("%w: %s/%s at t=%g after t=%g", ErrOutOfOrder, resource, metric, t, lastT)
+		return fmt.Errorf("%w: %s/%s at t=%g after t=%g", ErrOutOfOrder, resource, metric, t, c.lastT)
 	}
 	if t > w.end {
 		w.end = t
@@ -221,17 +228,17 @@ func (w *Writer) Add(t float64, resource, metric string, dv float64) error {
 	if err != nil {
 		return err
 	}
-	lastT, cur := c.b.Last()
-	if c.b.Len() > 0 && t < lastT {
-		return fmt.Errorf("%w: %s/%s at t=%g after t=%g", ErrOutOfOrder, resource, metric, t, lastT)
+	if c.n > 0 && t < c.lastT {
+		return fmt.Errorf("%w: %s/%s at t=%g after t=%g", ErrOutOfOrder, resource, metric, t, c.lastT)
 	}
-	return w.Set(t, resource, metric, cur+dv)
+	return w.Set(t, resource, metric, c.lastV+dv)
 }
 
-// flush writes the buffered chunk the builder just closed as meta:
-// encode, compress if that helps, write, record the directory entry.
-func (w *Writer) flush(c *colState, meta *trace.ChunkMeta) error {
+// flush writes the buffered chunk out: encode, compress if that helps,
+// write, record the directory entry.
+func (w *Writer) flush(c *colState) error {
 	n := len(c.times)
+	meta := trace.Chunk{Times: c.times, Values: c.values, Prefix: c.prefix}.Meta()
 	w.payload = encodeChunkPayload(w.payload, c.times, c.values, c.prefix)
 
 	enc := uint8(encRaw)
@@ -249,7 +256,7 @@ func (w *Writer) flush(c *colState, meta *trace.ChunkMeta) error {
 		out = w.cbuf.Bytes()
 	}
 
-	c.chunks = append(c.chunks, chunkEntry{*meta, blobRef{off: w.off, clen: uint32(len(out)), ulen: uint32(24 * n), enc: enc}})
+	c.chunks = append(c.chunks, chunkEntry{meta, blobRef{off: w.off, clen: uint32(len(out)), ulen: uint32(24 * n), enc: enc}})
 	if _, err := w.w.Write(out); err != nil {
 		return err
 	}
@@ -269,8 +276,8 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	for _, c := range w.colOrder {
-		if meta := c.b.Finish(); meta != nil {
-			if err := w.flush(c, meta); err != nil {
+		if len(c.times) > 0 {
+			if err := w.flush(c); err != nil {
 				return err
 			}
 		}

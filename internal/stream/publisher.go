@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"log/slog"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,32 +41,29 @@ type Config struct {
 	Tick    time.Duration
 	MaxTick time.Duration // default 2s
 
-	// Window is the Eq. 1 tail-window width in trace seconds (default 5).
-	Window float64
-
 	// Admission and fan-out sizing, passed through to the hub.
 	MaxSubscribers int // default 8192, 503 beyond it
 	SubRing        int // per-subscriber snapshot ring (default 16)
-	ResumeWindow   int // deltas kept for Last-Event-ID resume (default 64)
 
 	// FullEvery regenerates the full snapshot every n-th tick
-	// (default 16, always within the default resume window).
+	// (default 16, always within the resume window).
 	FullEvery int
-
-	// Intake bounds how many ops may queue between ticks (default 8192);
-	// a source that outruns it blocks in emit.
-	Intake int
-
-	// Locker, when set, is held while the publisher mutates the live
-	// trace and while OnTick runs — the same lock the serving side reads
-	// under. Nil means the publisher is the only toucher.
-	Locker sync.Locker
-
-	// OnTick, when set, runs under Locker after each tick's ops and
-	// aggregation have been applied — the seam the server uses to
-	// invalidate its derived caches.
-	OnTick func(seq uint64, now float64)
 }
+
+// The publisher's fixed sizes.
+const (
+	// windowSeconds is the Eq. 1 tail-window width in trace seconds.
+	windowSeconds = 5.0
+	// intakeOps bounds how many ops may queue between ticks; a source
+	// that outruns it blocks in emit.
+	intakeOps = 8192
+	// resumeDeltas is how many deltas the hub keeps for Last-Event-ID
+	// resume.
+	resumeDeltas = 64
+	// latencyWindow is how many recent ticks Report's latency
+	// percentiles cover.
+	latencyWindow = 1024
+)
 
 func (c Config) withDefaults() Config {
 	if c.Tick <= 0 {
@@ -78,21 +75,15 @@ func (c Config) withDefaults() Config {
 			c.MaxTick = c.Tick
 		}
 	}
-	if c.Window <= 0 {
-		c.Window = 5
-	}
 	if c.FullEvery <= 0 {
 		c.FullEvery = 16
-	}
-	if c.Intake <= 0 {
-		c.Intake = 8192
 	}
 	return c
 }
 
 // Report summarises a finished (or running) publisher: tick and event
-// throughput, publish-latency percentiles, and how often load shedding
-// widened the interval.
+// throughput, publish-latency percentiles over the last latencyWindow
+// ticks, and how often load shedding widened the interval.
 type Report struct {
 	Ticks    int
 	Events   int
@@ -114,19 +105,28 @@ type Stream struct {
 	cfg Config
 	lw  *aggregation.LiveWindow
 
-	mu        sync.Mutex // guards the report fields below
-	ticks     int
-	events    int
-	errs      int
-	sheds     int
+	// locker, when set, is held while the publisher mutates the live
+	// trace and while onTick runs, which then invalidates the serving
+	// side's derived caches: the lock and seam Bind installs.
+	locker sync.Locker
+	onTick func(seq uint64, now float64)
+
+	mu     sync.Mutex // guards the report fields below
+	ticks  int
+	events int
+	errs   int
+	sheds  int
+	// latencies is a ring of the last latencyWindow tick latencies, the
+	// oldest at ticks % latencyWindow once it is full.
 	latencies []time.Duration
 	seq       uint64
 
 	lastMean []float64 // per-series mean last emitted, for delta diffing
 
-	// quiet keeps the tick's hops out of the span fan-out: a stream over
-	// a SelfSource drains that fan-out, so its own hops would come back
-	// as ops of its next tick and mix with the served stream's.
+	// quiet keeps a stream over a SelfSource out of the process-wide
+	// series: its hops stay out of the span fan-out it drains (they would
+	// come back as ops of its next tick), and its ticks feed no
+	// viva_stream_* metric and no SLO, which belong to the served stream.
 	quiet bool
 
 	lastPubNs  int64        // previous publish stamp (publisher-only)
@@ -148,17 +148,17 @@ func New(src Source, cfg Config) (*Stream, error) {
 	_, quiet := src.(*SelfSource)
 	s := &Stream{
 		quiet: quiet,
-		Hub:   NewHub(cfg.MaxSubscribers, cfg.SubRing, cfg.ResumeWindow),
+		Hub:   NewHub(cfg.MaxSubscribers, cfg.SubRing, resumeDeltas),
 		tr:    tr,
 		src:   src,
 		cfg:   cfg,
-		lw:    aggregation.NewLiveWindow(tr, cfg.Window),
+		lw:    aggregation.NewLiveWindow(tr, windowSeconds),
 	}
 	return s, nil
 }
 
 // Trace returns the live trace. Readers other than the publisher must
-// hold cfg.Locker while touching it.
+// hold the lock given to Bind while touching it.
 func (s *Stream) Trace() *trace.Trace { return s.tr }
 
 // Bind installs the reader-coordination hooks after construction — the
@@ -166,8 +166,8 @@ func (s *Stream) Trace() *trace.Trace { return s.tr }
 // chicken-and-egg between stream.New (which owns the live trace) and the
 // server/view built over that trace. Call before Run.
 func (s *Stream) Bind(l sync.Locker, onTick func(seq uint64, now float64)) {
-	s.cfg.Locker = l
-	s.cfg.OnTick = onTick
+	s.locker = l
+	s.onTick = onTick
 }
 
 // Started reports whether Run has begun. A drained publisher still
@@ -185,15 +185,14 @@ func (s *Stream) Seq() uint64 {
 // percentiles. Safe to call concurrently with Run.
 func (s *Stream) Report() Report {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	r := Report{
 		Ticks: s.ticks, Events: s.events, Errors: s.errs,
 		Sheds: s.sheds, FinalSeq: s.seq,
 	}
-	if n := len(s.latencies); n > 0 {
-		sorted := make([]time.Duration, n)
-		copy(sorted, s.latencies)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(s.latencies)
+	s.mu.Unlock()
+	if n := len(sorted); n > 0 {
+		slices.Sort(sorted)
 		r.P50 = sorted[n/2]
 		r.P99 = sorted[(n*99)/100]
 		r.Max = sorted[n-1]
@@ -287,7 +286,7 @@ func encodeFrame(buf []byte, h frameHead, cat *catalog, series []seriesStat) ([]
 }
 
 // Run drives the publisher until the source drains or ctx is cancelled.
-// It applies ops in per-tick batches under cfg.Locker, advances the
+// It applies ops in per-tick batches under the Bind lock, advances the
 // incremental window aggregation, encodes one delta snapshot per tick
 // (plus a periodic full snapshot), and publishes through the hub. It
 // never blocks on a subscriber. On a clean drain it publishes a final
@@ -296,7 +295,7 @@ func encodeFrame(buf []byte, h frameHead, cat *catalog, series []seriesStat) ([]
 // (the server does it on shutdown).
 func (s *Stream) Run(ctx context.Context) error {
 	s.started.Store(true)
-	ops := make(chan Op, s.cfg.Intake)
+	ops := make(chan Op, intakeOps)
 	runErr := make(chan error, 1)
 	go func() {
 		defer close(ops)
@@ -311,7 +310,7 @@ func (s *Stream) Run(ctx context.Context) error {
 	}()
 
 	tick := s.cfg.Tick
-	obsTick.Set(tick.Seconds())
+	s.setTickGauge(tick)
 	timer := time.NewTimer(tick)
 	defer timer.Stop()
 
@@ -326,7 +325,7 @@ func (s *Stream) Run(ctx context.Context) error {
 		// channel buffer then exerts backpressure on the source instead
 		// of this loop growing without bound.
 		in := ops
-		if drained || len(pending) >= s.cfg.Intake {
+		if drained || len(pending) >= intakeOps {
 			in = nil
 		}
 		select {
@@ -366,8 +365,10 @@ func (s *Stream) Run(ctx context.Context) error {
 				s.mu.Lock()
 				s.sheds++
 				s.mu.Unlock()
-				obsShed.Inc()
-				obsTick.Set(tick.Seconds())
+				if !s.quiet {
+					obsShed.Inc()
+				}
+				s.setTickGauge(tick)
 				obs.Flight.Record(obs.FlightShed, s.Seq(), int64(tick), 0)
 				slog.Debug("stream: shed, tick widened", "seq", s.Seq(), "tick", tick)
 			case ewma < tick.Seconds()/8 && tick > s.cfg.Tick:
@@ -375,12 +376,20 @@ func (s *Stream) Run(ctx context.Context) error {
 				if tick < s.cfg.Tick {
 					tick = s.cfg.Tick
 				}
-				obsTick.Set(tick.Seconds())
+				s.setTickGauge(tick)
 				obs.Flight.Record(obs.FlightNarrow, s.Seq(), int64(tick), 0)
 				slog.Debug("stream: recovered, tick narrowed", "seq", s.Seq(), "tick", tick)
 			}
 			timer.Reset(tick)
 		}
+	}
+}
+
+// setTickGauge publishes the current tick interval, unless the stream
+// is quiet.
+func (s *Stream) setTickGauge(tick time.Duration) {
+	if !s.quiet {
+		obsTick.Set(tick.Seconds())
 	}
 }
 
@@ -392,8 +401,8 @@ func (s *Stream) Run(ctx context.Context) error {
 // Each stage boundary hands the time since the previous one to the span
 // fan-out (obs.Ring.Emit: stage histogram, meta-trace, live span feed),
 // so one tick decomposes the same way an interactive frame does, without
-// landing in one. A stream over a SelfSource hands nothing: it drains
-// that fan-out.
+// landing in one. A quiet stream (over a SelfSource) hands nothing, as it
+// drains that fan-out, and records no metric or SLO observation.
 func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	start := obs.NowNs()
 	if len(batch) > 0 && firstOpNs > 0 && !s.quiet {
@@ -408,8 +417,8 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 		mark = now
 	}
 
-	if s.cfg.Locker != nil {
-		s.cfg.Locker.Lock()
+	if s.locker != nil {
+		s.locker.Lock()
 	}
 	app := s.tr.NewAppender()
 	applied, errs := 0, 0
@@ -420,7 +429,9 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 		}
 		applied++
 	}
-	obsEvents.Add(uint64(applied))
+	if !s.quiet {
+		obsEvents.Add(uint64(applied))
+	}
 	hop(obs.StageApply)
 
 	s.mu.Lock()
@@ -434,7 +445,7 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 
 	_, now := s.tr.Window()
 	full := final || (ticks-1)%s.cfg.FullEvery == 0 // the first tick seeds a full
-	head := frameHead{seq: seq, time: now, window: [2]float64{now - s.cfg.Window, now}, events: applied}
+	head := frameHead{seq: seq, time: now, window: [2]float64{now - windowSeconds, now}, events: applied}
 	var cat *catalog
 	if full {
 		cat = &catalog{resources: s.tr.Resources(), edges: s.tr.Edges()}
@@ -458,11 +469,11 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 		i++
 	})
 
-	if s.cfg.OnTick != nil {
-		s.cfg.OnTick(seq, now)
+	if s.onTick != nil {
+		s.onTick(seq, now)
 	}
-	if s.cfg.Locker != nil {
-		s.cfg.Locker.Unlock()
+	if s.locker != nil {
+		s.locker.Unlock()
 	}
 	hop(obs.StageWindow)
 
@@ -483,6 +494,35 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 	}
 	hop(obs.StageFanout)
 
+	d := time.Duration(obs.NowNs() - start)
+	if !s.quiet {
+		s.observe(seq, pubNs, d, err == nil, full && fdata != nil)
+	}
+	s.record(d)
+	return d
+}
+
+// record keeps the latency of the tick just counted in the latency ring.
+func (s *Stream) record(d time.Duration) {
+	s.mu.Lock()
+	if len(s.latencies) < latencyWindow {
+		s.latencies = append(s.latencies, d)
+	} else {
+		s.latencies[(s.ticks-1)%latencyWindow] = d
+	}
+	s.mu.Unlock()
+}
+
+// observe records one published tick in the viva_stream_* series and the
+// SLOs: the snapshots published, the staleness gap since the previous
+// publish and the tick's publish latency d.
+func (s *Stream) observe(seq uint64, pubNs int64, d time.Duration, delta, full bool) {
+	if delta {
+		obsSnapshots.Inc()
+	}
+	if full {
+		obsFulls.Inc()
+	}
 	// Staleness: the gap between consecutive publishes is the age the
 	// freshest client-visible data had just before this tick replaced it.
 	if s.lastPubNs != 0 {
@@ -491,16 +531,10 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 		sloStale.Observe(gap)
 	}
 	s.lastPubNs = pubNs
-
-	d := time.Duration(obs.NowNs() - start)
 	obsPublish.Observe(d.Seconds())
 	if sloPush.Observe(d.Seconds()) {
 		s.maybeAnomalyDump(seq)
 	}
-	s.mu.Lock()
-	s.latencies = append(s.latencies, d)
-	s.mu.Unlock()
-	return d
 }
 
 // framePool holds encode buffers between ticks, as encoding/json pools
@@ -509,7 +543,7 @@ func (s *Stream) tick(batch []Op, final bool, firstOpNs int64) time.Duration {
 var framePool sync.Pool // of *[]byte
 
 // encode encodes one frame in a pooled buffer and returns an exact-size
-// copy. The hub keeps the last ResumeWindow deltas and the subscriber
+// copy. The hub keeps the last resumeDeltas deltas and the subscriber
 // rings hold more, so spare capacity on each payload would stay resident
 // many times over.
 func encode(h frameHead, cat *catalog, series []seriesStat) ([]byte, error) {

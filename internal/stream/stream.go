@@ -187,7 +187,6 @@ func (h *Hub) Publish(s *Snapshot) {
 	for sub := range h.subs {
 		sub.push(s)
 	}
-	obsSnapshots.Inc()
 }
 
 // SetFull installs the latest full snapshot, the out-of-window resume
@@ -196,7 +195,6 @@ func (h *Hub) SetFull(s *Snapshot) {
 	h.mu.Lock()
 	h.full = s
 	h.mu.Unlock()
-	obsFulls.Inc()
 }
 
 // Full returns the latest full snapshot (nil before the first tick).

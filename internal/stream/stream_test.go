@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -386,5 +387,75 @@ func TestTickStaysOutOfFrames(t *testing.T) {
 	want := []string{"intake", "apply", "window", "encode", "fanout", "frame"}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("fanned-out stages = %v, want %v", got, want)
+	}
+}
+
+// TestSelfStreamKeepsOutOfStreamSeries runs an idle self-stream at a 2ms
+// tick. The viva_stream_* series and the stream SLOs describe the served
+// live stream, so none of them may move, and the tick gauge keeps the
+// value the served stream set.
+func TestSelfStreamKeepsOutOfStreamSeries(t *testing.T) {
+	s, err := New(NewSelfSource(obs.NewSpanFeed(64)), Config{Tick: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := func() map[string]float64 {
+		m := map[string]float64{
+			"viva_stream_publish_seconds_count":   float64(obsPublish.Count()),
+			"viva_stream_staleness_seconds_count": float64(obsStaleness.Count()),
+			"viva_stream_tick_seconds":            obsTick.Value(),
+		}
+		for _, ms := range obs.Default.Snapshot() {
+			if strings.HasPrefix(ms.Family, "viva_stream_") && ms.Kind == "counter" ||
+				strings.HasPrefix(ms.Family, "viva_slo_") && strings.Contains(ms.Name, "stream_") {
+				m[ms.Name] = ms.Value
+			}
+		}
+		return m
+	}
+	obsTick.Set(0.25)
+	before := series()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- s.Run(ctx) }()
+	for deadline := time.Now().Add(5 * time.Second); s.Report().Ticks < 20; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d ticks in 5s, want 20", s.Report().Ticks)
+		}
+	}
+	cancel()
+	<-done
+
+	for name, after := range series() {
+		if after != before[name] {
+			t.Errorf("%s went from %g to %g over an idle self-stream", name, before[name], after)
+		}
+	}
+}
+
+// TestReportKeepsRecentLatencies ticks past the latency window: Report
+// keeps only the last latencyWindow tick latencies, and its percentiles
+// are the exact order statistics of that window.
+func TestReportKeepsRecentLatencies(t *testing.T) {
+	s, err := New(NewReplay(trace.New(), 0), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Ticks 1..n take n ms; the window then holds the last latencyWindow.
+	n := latencyWindow + 300
+	for i := 1; i <= n; i++ {
+		s.ticks = i
+		s.record(time.Duration(i) * time.Millisecond)
+	}
+	if got := len(s.latencies); got != latencyWindow {
+		t.Fatalf("%d latencies kept, want %d", got, latencyWindow)
+	}
+	r := s.Report()
+	first := n - latencyWindow + 1
+	ms := func(i int) time.Duration { return time.Duration(i) * time.Millisecond }
+	if r.P50 != ms(first+latencyWindow/2) || r.P99 != ms(first+latencyWindow*99/100) || r.Max != ms(n) {
+		t.Fatalf("P50/P99/Max = %v/%v/%v, want %v/%v/%v", r.P50, r.P99, r.Max,
+			ms(first+latencyWindow/2), ms(first+latencyWindow*99/100), ms(n))
 	}
 }

@@ -1,13 +1,10 @@
 package trace
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // DefaultChunkPoints is the number of points per closed chunk of a
-// column: what a heap timeline's index uses, and the .vvc writer's
-// default. 24 KiB raw, small enough that a boundary-chunk scan or
+// column: what a heap timeline closes its chunks at, and the .vvc
+// writer's default. 24 KiB raw, small enough that a boundary-chunk scan or
 // decompression stays cheap, large enough that the directory stays tiny
 // next to the data.
 const DefaultChunkPoints = 1024
@@ -40,21 +37,26 @@ type ChunkLoader interface {
 }
 
 // Column is the one Eq. 1 query kernel, over the .vvc chunk layout held
-// in memory: a directory of closed chunks, loaded on demand, followed by
-// an open tail chunk that is always resident. A heap timeline's column
-// serves its chunks as sub-slices of its own arrays; a store column has
-// no tail and pages its chunks through the store's cache.
+// in memory: a directory of closed chunks followed by an open tail chunk
+// that is always resident. A heap timeline is a column that keeps every
+// point resident, its closed chunks' points ahead of the open tail; a
+// store column has no resident points and pages its closed chunks
+// through the store's cache.
 //
-// A query locates its chunk by binary search over the directory. A time
-// at or past a closed chunk's last point, and a closed chunk entirely
-// inside a window, answer from the directory; only the (at most two)
-// boundary chunks of a window are fetched. The window semantics are the
+// A query locates its chunk by binary search over the directory, or over
+// the resident points when they cover the time. A time at or past a
+// closed chunk's last point, and a closed chunk entirely inside a
+// window, answer from the directory; only the (at most two) boundary
+// chunks of a window are fetched. The window semantics are the
 // Timeline's (see Series). Queries only read a Column, so it is safe for
 // concurrent reads as long as its loader is.
 type Column struct {
-	// tail leads: a heap query's first reads (its times, values and
-	// prefix slices) then share one cache line.
-	tail Chunk
+	// pts leads: a heap query's first reads (its times, values and
+	// prefix slices) then share one cache line. pts[open:] is the open
+	// tail. The points before open are the closed chunks', kept only by
+	// a column without a loader; with one, open is 0.
+	pts  Chunk
+	open int
 	dir  []ChunkMeta
 	load ChunkLoader
 }
@@ -67,9 +69,20 @@ func NewColumn(dir []ChunkMeta, load ChunkLoader) Column {
 	return Column{dir: dir, load: load}
 }
 
+// chunk returns closed chunk k: through the loader, or as sub-slices of
+// the resident points, where every closed chunk holds dir[0].Count.
+func (c *Column) chunk(k int) (Chunk, bool) {
+	if c.load != nil {
+		return c.load.LoadChunk(k)
+	}
+	size := c.dir[0].Count
+	lo, hi := k*size, (k+1)*size
+	return Chunk{c.pts.Times[lo:hi:hi], c.pts.Values[lo:hi:hi], c.pts.Prefix[lo:hi:hi]}, true
+}
+
 // Len returns the number of points.
 func (c *Column) Len() int {
-	n := len(c.tail.Times)
+	n := len(c.pts.Times) - c.open
 	for i := range c.dir {
 		n += c.dir[i].Count
 	}
@@ -81,16 +94,16 @@ func (c *Column) FirstTime() float64 {
 	if len(c.dir) > 0 {
 		return c.dir[0].FirstT
 	}
-	if len(c.tail.Times) > 0 {
-		return c.tail.Times[0]
+	if len(c.pts.Times) > 0 {
+		return c.pts.Times[0]
 	}
 	return 0
 }
 
 // LastTime returns the time of the last point (0 when empty).
 func (c *Column) LastTime() float64 {
-	if n := len(c.tail.Times); n > 0 {
-		return c.tail.Times[n-1]
+	if n := len(c.pts.Times); n > 0 {
+		return c.pts.Times[n-1]
 	}
 	if n := len(c.dir); n > 0 {
 		return c.dir[n-1].LastT
@@ -99,8 +112,8 @@ func (c *Column) LastTime() float64 {
 }
 
 // locateClosed returns the last closed chunk whose first point is at or
-// before t (for a t before the tail, the chunk holding the point in
-// effect at t), or -1 when none is.
+// before t (for a t before the resident points, the chunk holding the
+// point in effect at t), or -1 when none is.
 func (c *Column) locateClosed(t float64) int {
 	return sort.Search(len(c.dir), func(i int) bool { return c.dir[i].FirstT > t }) - 1
 }
@@ -129,7 +142,7 @@ func upTo(times []float64, t float64) int {
 // time, value and prefix. Before the first point, and when a chunk fails
 // to load, it returns zeros, which every caller reads as the implicit 0.
 func (c *Column) point(t float64) (pt, pv, pp float64) {
-	ch := &c.tail
+	ch := &c.pts
 	if len(ch.Times) == 0 || t < ch.Times[0] {
 		return c.closedPoint(t)
 	}
@@ -137,8 +150,9 @@ func (c *Column) point(t float64) (pt, pv, pp float64) {
 	return ch.Times[i], ch.Values[i], ch.Prefix[i]
 }
 
-// closedPoint is point for a t before the tail: from the directory when
-// t is at or past its chunk's last point, else from the loaded chunk.
+// closedPoint is point for a t before the resident points: from the
+// directory when t is at or past its chunk's last point, else from the
+// loaded chunk.
 func (c *Column) closedPoint(t float64) (pt, pv, pp float64) {
 	k := c.locateClosed(t)
 	if k < 0 {
@@ -148,7 +162,7 @@ func (c *Column) closedPoint(t float64) (pt, pv, pp float64) {
 	if t >= m.LastT {
 		return m.LastT, m.LastV, m.PrefLast
 	}
-	ch, ok := c.load.LoadChunk(k)
+	ch, ok := c.chunk(k)
 	i := upTo(ch.Times, t) - 1
 	if !ok || i < 0 {
 		return 0, 0, 0
@@ -156,19 +170,19 @@ func (c *Column) closedPoint(t float64) (pt, pv, pp float64) {
 	return ch.Times[i], ch.Values[i], ch.Prefix[i]
 }
 
-// integralAt is the cumulative integral at time t of a step function
+// IntegralAt is the cumulative integral at time t of a step function
 // whose last point at or before t is (pt, pv) with absolute prefix pp.
-// It is both the builder's prefix recurrence (t the next point's time)
-// and the kernel's boundary evaluation, so the two cannot drift apart:
-// heap, store and live answers are bit-identical because every one of
-// them comes from here.
-func integralAt(pp, pv, pt, t float64) float64 { return pp + pv*(t-pt) }
+// It is both the prefix recurrence a column is grown by (t the next
+// point's time, on the heap and in the .vvc writer alike) and the
+// kernel's boundary evaluation, so the two cannot drift apart: heap,
+// store and live answers are bit-identical because every one of them
+// comes from here.
+func IntegralAt(pp, pv, pt, t float64) float64 { return pp + pv*(t-pt) }
 
 // At returns the value of the step function at time t (0 before the
-// first point). Its tail path reads no prefix, so a column viewed for At
-// alone may leave the tail's Prefix nil.
+// first point).
 func (c *Column) At(t float64) float64 {
-	ch := &c.tail
+	ch := &c.pts
 	if len(ch.Times) == 0 || t < ch.Times[0] {
 		_, v, _ := c.closedPoint(t)
 		return v
@@ -183,10 +197,10 @@ func (c *Column) Integrate(a, b float64) float64 {
 	if b <= a {
 		return 0
 	}
-	// Before the first point, point's zeros make integralAt exactly 0.
+	// Before the first point, point's zeros make IntegralAt exactly 0.
 	bt, bv, bp := c.point(b)
 	at, av, ap := c.point(a)
-	return integralAt(bp, bv, bt, b) - integralAt(ap, av, at, a)
+	return IntegralAt(bp, bv, bt, b) - IntegralAt(ap, av, at, a)
 }
 
 // Mean returns the time average over [a, b]: the per-resource temporal
@@ -217,7 +231,7 @@ func (c *Column) Min(a, b float64) float64 {
 
 // extrema returns the smallest and largest of At(a) and the values of
 // every point with a < T <= b: closed chunks inside the window from
-// their directory entry, the boundary chunks and the tail by scan.
+// their directory entry, the boundary chunks and the open tail by scan.
 func (c *Column) extrema(a, b float64) (lo, hi float64) {
 	if b < a {
 		return 0, 0
@@ -232,8 +246,8 @@ func (c *Column) extrema(a, b float64) (lo, hi float64) {
 			hi = h
 		}
 	}
-	scan := func(ch Chunk) {
-		for i := upTo(ch.Times, a); i < len(ch.Times) && ch.Times[i] <= b; i++ {
+	scan := func(ch Chunk, from int) {
+		for i := max(upTo(ch.Times, a), from); i < len(ch.Times) && ch.Times[i] <= b; i++ {
 			take(ch.Values[i], ch.Values[i])
 		}
 	}
@@ -243,95 +257,31 @@ func (c *Column) extrema(a, b float64) (lo, hi float64) {
 		case m.FirstT > a && m.LastT <= b:
 			take(m.Min, m.Max)
 		default:
-			if ch, ok := c.load.LoadChunk(k); ok {
-				scan(ch)
+			if ch, ok := c.chunk(k); ok {
+				scan(ch, 0)
 			}
 		}
 	}
-	scan(c.tail)
+	scan(c.pts, c.open)
 	return lo, hi
 }
 
-// ColumnBuilder grows a column one point at a time. It holds the one
-// copy of the prefix recurrence, and closes the open chunk when a
-// strictly later point arrives on a full one, so an equal-time overwrite
-// of the last point never touches a closed chunk. The caller keeps the
-// points, their prefixes and the directory of closed chunks.
-type ColumnBuilder struct {
-	size int
-	n    int
-	// open is the open chunk's entry in the making: Min and Max cover
-	// every point but the last, whose value an overwrite may still
-	// change; LastT, LastV and PrefLast are the column's last point.
-	open ChunkMeta
-	// done is the entry of the chunk closed last.
-	done ChunkMeta
-}
-
-// NewColumnBuilder returns a builder closing chunks of size points
-// (DefaultChunkPoints when size <= 0).
-func NewColumnBuilder(size int) ColumnBuilder {
-	if size <= 0 {
-		size = DefaultChunkPoints
+// Meta returns the directory entry of c, a chunk just closed: the
+// summary both the heap timeline and the .vvc writer record for it, so
+// their directories agree bit for bit.
+func (c Chunk) Meta() ChunkMeta {
+	n := len(c.Times)
+	m := ChunkMeta{
+		Count: n, FirstT: c.Times[0], LastT: c.Times[n-1], LastV: c.Values[n-1],
+		PrefFirst: c.Prefix[0], PrefLast: c.Prefix[n-1], Min: c.Values[0], Max: c.Values[0],
 	}
-	return ColumnBuilder{size: size}
-}
-
-// Len returns the number of points added.
-func (b *ColumnBuilder) Len() int { return b.n }
-
-// Last returns the last point added (zeros when none).
-func (b *ColumnBuilder) Last() (t, v float64) { return b.open.LastT, b.open.LastV }
-
-// Add appends the point (t, v), t strictly after the last point, and
-// returns its absolute prefix. When the open chunk was full it is closed
-// before the point is added, and closed is its directory entry, valid
-// until the next call; otherwise closed is nil.
-func (b *ColumnBuilder) Add(t, v float64) (pref float64, closed *ChunkMeta) {
-	o := &b.open
-	if o.Count == b.size {
-		closed = b.Finish()
+	for _, v := range c.Values[1:] {
+		if v < m.Min {
+			m.Min = v
+		}
+		if v > m.Max {
+			m.Max = v
+		}
 	}
-	if b.n > 0 {
-		pref = integralAt(o.PrefLast, o.LastV, o.LastT, t)
-	}
-	if o.Count == 0 {
-		o.FirstT, o.PrefFirst = t, pref
-		o.Min, o.Max = math.Inf(1), math.Inf(-1)
-	} else {
-		o.fold(o.LastV)
-	}
-	o.Count++
-	b.n++
-	o.LastT, o.LastV, o.PrefLast = t, v, pref
-	return pref, closed
-}
-
-// OverwriteLast replaces the value of the last point (an equal-time
-// Set). Its prefix integrates only up to its time, which did not move.
-func (b *ColumnBuilder) OverwriteLast(v float64) { b.open.LastV = v }
-
-// Finish closes the open chunk and returns its directory entry, valid
-// until the next call, or nil when the open chunk is empty: the end of
-// a column that is written out.
-func (b *ColumnBuilder) Finish() *ChunkMeta {
-	if b.open.Count == 0 {
-		return nil
-	}
-	b.done = b.open
-	b.done.fold(b.done.LastV)
-	b.open.Count = 0
-	return &b.done
-}
-
-// openCount returns the number of points in the open chunk.
-func (b *ColumnBuilder) openCount() int { return b.open.Count }
-
-func (m *ChunkMeta) fold(v float64) {
-	if v < m.Min {
-		m.Min = v
-	}
-	if v > m.Max {
-		m.Max = v
-	}
+	return m
 }

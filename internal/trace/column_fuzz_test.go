@@ -12,13 +12,13 @@ import (
 )
 
 // FuzzColumnQueries holds the one Eq. 1 kernel to its references on
-// fuzzed point sets: a heap timeline indexed with chunks of 1, 3, 16 or
+// fuzzed point sets: a heap timeline closing chunks of 1, 3, 16 or
 // DefaultChunkPoints points, grown through equal-time overwrites, one
-// out-of-order insert and monotone appends that extend the index in
-// place, must answer At, Max and Min exactly as the direct scans and
-// Integrate within the scans' total-variation tolerance; and the same
-// column written to a .vvc store with the same chunk size must answer
-// every query == the heap.
+// out-of-order insert that rewrites the prefixes and directory after it,
+// and more monotone appends, must answer At, Max and Min exactly as the
+// direct scans and Integrate within the scans' total-variation
+// tolerance; and the same column written to a .vvc store with the same
+// chunk size must answer every query == the heap.
 func FuzzColumnQueries(f *testing.F) {
 	for sel := uint8(0); sel < 4; sel++ {
 		f.Add(int64(sel), uint16(40), sel)
@@ -30,6 +30,7 @@ func FuzzColumnQueries(f *testing.F) {
 		size := []int{1, 3, 16, trace.DefaultChunkPoints}[sel%4]
 		n := int(npts) % (3 * trace.DefaultChunkPoints)
 		rng := rand.New(rand.NewSource(seed))
+		defer trace.SetChunkPoints(size)()
 
 		tr := trace.New()
 		tr.MustDeclareResource("h", trace.TypeHost, "")
@@ -56,11 +57,10 @@ func FuzzColumnQueries(f *testing.F) {
 			// One out-of-order insert between the first and last points.
 			set(tl.FirstTime() + rng.Float64()*(tl.LastTime()-tl.FirstTime()))
 		}
-		tl.IndexChunked(size)
 		appendPoints(n - half)
 		tr.SetEnd(now + 1)
 		// With no first half, the points went to a timeline created after
-		// tl was looked up; it indexes lazily, with the default chunks.
+		// tl was looked up.
 		tl = tr.Timeline("h", "m")
 
 		atScan, integScan, maxScan, minScan := tl.Scans()

@@ -9,6 +9,10 @@ func (tl *Timeline) Scans() (at func(float64) float64, integrate, max, min func(
 	return tl.atScan, tl.integrateScan, tl.maxScan, tl.minScan
 }
 
-// IndexChunked (re)builds the timeline's index with chunks of size
-// points; later monotone appends keep that size.
-func (tl *Timeline) IndexChunked(size int) { tl.buildIndex(size) }
+// SetChunkPoints makes heap timelines close chunks of size points until
+// the returned function restores the default. Only timelines grown in
+// between may be touched in between.
+func SetChunkPoints(size int) (restore func()) {
+	chunkPoints = size
+	return func() { chunkPoints = DefaultChunkPoints }
+}

@@ -3,23 +3,22 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// TestIndexIncrementalAppend drives the monotone-append fast path: build
-// the index early, keep appending (and occasionally overwriting the last
-// point), and check every windowed query against the O(n) scans after each
-// mutation. This is the live-pipeline shape: the index must stay correct
-// without wholesale rebuilds.
+// TestIndexIncrementalAppend drives the monotone-append fast path: query
+// early, keep appending (and occasionally overwriting the last point),
+// and check every windowed query against the O(n) scans after each
+// mutation. This is the live-pipeline shape: the prefixes and directory
+// each Set keeps must stay correct without wholesale rebuilds.
 func TestIndexIncrementalAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tl := &Timeline{}
 	tl.Set(0, 1)
-	// Force the index to exist before the appends start.
 	if got := tl.Integrate(0, 1); got != 1 {
 		t.Fatalf("warm-up Integrate = %g, want 1", got)
 	}
-	ix := tl.idx.Load()
 	time := 0.0
 	for i := 0; i < 300; i++ {
 		switch rng.Intn(4) {
@@ -29,9 +28,6 @@ func TestIndexIncrementalAppend(t *testing.T) {
 		default:
 			time += rng.Float64() * 3
 			tl.Set(time, rng.NormFloat64()*10)
-		}
-		if tl.idx.Load() != ix {
-			t.Fatalf("step %d: monotone mutation dropped or rebuilt the index", i)
 		}
 		a := rng.Float64() * time
 		b := rng.Float64() * time
@@ -54,14 +50,15 @@ func TestIndexIncrementalAppend(t *testing.T) {
 	}
 }
 
-// TestIndexIncrementalMatchesRebuild checks that an incrementally extended
-// index answers exactly like a freshly built one (prefix values must be
-// bit-identical: both sides run the same left-to-right recurrence).
+// TestIndexIncrementalMatchesRebuild checks that a timeline queried while
+// it grows answers exactly like a fresh one of the same points (prefix
+// values must be bit-identical: both sides run the same left-to-right
+// recurrence).
 func TestIndexIncrementalMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	live := &Timeline{}
 	live.Set(0, 2)
-	_ = live.Integrate(0, 1) // build early, then extend incrementally
+	_ = live.Integrate(0, 1) // query early, then keep growing
 	time := 0.0
 	for i := 0; i < 100; i++ {
 		time += rng.Float64()
@@ -78,16 +75,13 @@ func TestIndexIncrementalMatchesRebuild(t *testing.T) {
 }
 
 // TestIndexAppendAfterOutOfOrder makes sure the fast path recovers after
-// an out-of-order insert invalidates the index.
+// an out-of-order insert rewrites the prefixes after it.
 func TestIndexAppendAfterOutOfOrder(t *testing.T) {
 	tl := &Timeline{}
 	tl.Set(0, 1)
 	tl.Set(10, 3)
 	_ = tl.Integrate(0, 10)
-	tl.Set(5, 2) // out of order: must invalidate
-	if tl.idx.Load() != nil {
-		t.Fatal("out-of-order insert did not invalidate the index")
-	}
+	tl.Set(5, 2) // out of order
 	tl.Set(20, 4)
 	if got, want := tl.Integrate(0, 20), tl.integrateScan(0, 20); got != want {
 		t.Fatalf("Integrate after recovery = %g, scan = %g", got, want)
@@ -148,16 +142,15 @@ func TestStatePointsCopy(t *testing.T) {
 }
 
 // TestIndexAcrossChunks drives a timeline of more than two default
-// chunks, its index built while it was still one open chunk and
-// extended in place across every chunk close, with windows that start
-// and end exactly on chunk boundaries: At, Max and Min must equal the
-// scans, and Integrate must equal a freshly built index bit for bit.
+// chunks, queried while it was still one open chunk and grown across
+// every chunk close, with windows that start and end exactly on chunk
+// boundaries: At, Max and Min must equal the scans, and Integrate must
+// equal a fresh timeline of the same points bit for bit.
 func TestIndexAcrossChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tl := &Timeline{}
 	tl.Set(0, 1)
-	_ = tl.Integrate(0, 1) // index the single open chunk, then grow it
-	ix := tl.idx.Load()
+	_ = tl.Integrate(0, 1) // query the single open chunk, then grow it
 	now := 0.0
 	for tl.Len() < 2*DefaultChunkPoints+DefaultChunkPoints/2 {
 		if rng.Intn(6) > 0 {
@@ -165,16 +158,13 @@ func TestIndexAcrossChunks(t *testing.T) {
 		}
 		tl.Set(now, math.Round(rng.NormFloat64()*40)/4)
 	}
-	if tl.idx.Load() != ix {
-		t.Fatal("monotone growth across chunk closes dropped or rebuilt the index")
-	}
-	if got := len(ix.ext.dir); got != 2 {
+	if got := len(tl.dir); got != 2 {
 		t.Fatalf("%d closed chunks, want 2", got)
 	}
 	fresh := NewTimeline(tl.Points()...)
 	var bounds []float64
 	for k := 0; k < tl.Len(); k += DefaultChunkPoints {
-		bounds = append(bounds, tl.times[k], tl.times[min(k+DefaultChunkPoints, tl.Len())-1])
+		bounds = append(bounds, tl.pts.Times[k], tl.pts.Times[min(k+DefaultChunkPoints, tl.Len())-1])
 	}
 	bounds = append(bounds, -1, now+1)
 	for _, a := range bounds {
@@ -189,8 +179,79 @@ func TestIndexAcrossChunks(t *testing.T) {
 				t.Fatalf("Min(%g, %g) = %g, scan %g", a, b, got, want)
 			}
 			if got, want := tl.Integrate(a, b), fresh.Integrate(a, b); got != want {
-				t.Fatalf("Integrate(%g, %g) = %g, rebuilt index %g", a, b, got, want)
+				t.Fatalf("Integrate(%g, %g) = %g, fresh timeline %g", a, b, got, want)
 			}
 		}
+	}
+}
+
+// TestOutOfOrderSetMatchesFresh lands an out-of-order Set in each place
+// it can fall, on a timeline of two closed chunks of 4 points and a full
+// open tail: the directory, the prefixes and every query over windows on
+// chunk boundaries must equal a fresh timeline of the same points, bit
+// for bit.
+func TestOutOfOrderSetMatchesFresh(t *testing.T) {
+	defer SetChunkPoints(4)()
+	cases := []struct {
+		name string
+		t, v float64
+	}{
+		{"inside a closed chunk", 2.5, 7.25},
+		{"inside the open tail", 9.5, -3.5},
+		{"before the first point", -1, 4.75},
+		{"equal-time overwrite inside a closed chunk", 5, 11.5},
+		{"equal-time overwrite of a closed chunk's last point", 3, -0.125},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tl := &Timeline{}
+			for i := 0; i < 12; i++ {
+				tl.Set(float64(i), float64((i*37)%11)/4-1)
+			}
+			if len(tl.dir) != 2 {
+				t.Fatalf("%d closed chunks before the Set, want 2", len(tl.dir))
+			}
+			tl.Set(c.t, c.v)
+			fresh := NewTimeline(tl.Points()...)
+
+			bits := func(xs ...float64) []uint64 {
+				out := make([]uint64, len(xs))
+				for i, x := range xs {
+					out[i] = math.Float64bits(x)
+				}
+				return out
+			}
+			if len(tl.dir) != len(fresh.dir) || tl.open != fresh.open {
+				t.Fatalf("%d closed chunks, open at %d; fresh %d, %d", len(tl.dir), tl.open, len(fresh.dir), fresh.open)
+			}
+			for k := range tl.dir {
+				g, w := tl.dir[k], fresh.dir[k]
+				if g.Count != w.Count || !slices.Equal(
+					bits(g.FirstT, g.LastT, g.LastV, g.PrefFirst, g.PrefLast, g.Min, g.Max),
+					bits(w.FirstT, w.LastT, w.LastV, w.PrefFirst, w.PrefLast, w.Min, w.Max)) {
+					t.Fatalf("chunk %d: %+v, fresh %+v", k, g, w)
+				}
+			}
+			if !slices.Equal(bits(tl.pts.Prefix...), bits(fresh.pts.Prefix...)) {
+				t.Fatalf("prefixes %v, fresh %v", tl.pts.Prefix, fresh.pts.Prefix)
+			}
+
+			bounds := []float64{-2, tl.LastTime() + 1}
+			for k := 0; k < tl.Len(); k += chunkPoints {
+				bounds = append(bounds, tl.pts.Times[k], tl.pts.Times[min(k+chunkPoints, tl.Len())-1])
+			}
+			for _, a := range bounds {
+				if g, w := tl.At(a), fresh.At(a); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("At(%g) = %g, fresh %g", a, g, w)
+				}
+				for _, b := range bounds {
+					got := bits(tl.Integrate(a, b), tl.Max(a, b), tl.Min(a, b))
+					want := bits(fresh.Integrate(a, b), fresh.Max(a, b), fresh.Min(a, b))
+					if !slices.Equal(got, want) {
+						t.Fatalf("[%g, %g]: Integrate/Max/Min %v, fresh %v", a, b, got, want)
+					}
+				}
+			}
+		})
 	}
 }

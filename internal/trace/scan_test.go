@@ -8,21 +8,21 @@ import "sort"
 // integrateScan is the direct reference for Integrate: one left-to-right
 // pass over the segments inside the window.
 func (tl *Timeline) integrateScan(a, b float64) float64 {
-	if b <= a || len(tl.times) == 0 {
+	if b <= a || len(tl.pts.Times) == 0 {
 		return 0
 	}
 	var sum float64
 	// Position of the first point strictly after a.
-	i := sort.Search(len(tl.times), func(i int) bool { return tl.times[i] > a })
+	i := sort.Search(len(tl.pts.Times), func(i int) bool { return tl.pts.Times[i] > a })
 	cur := a
 	val := 0.0
 	if i > 0 {
-		val = tl.values[i-1]
+		val = tl.pts.Values[i-1]
 	}
-	for ; i < len(tl.times) && tl.times[i] < b; i++ {
-		sum += val * (tl.times[i] - cur)
-		cur = tl.times[i]
-		val = tl.values[i]
+	for ; i < len(tl.pts.Times) && tl.pts.Times[i] < b; i++ {
+		sum += val * (tl.pts.Times[i] - cur)
+		cur = tl.pts.Times[i]
+		val = tl.pts.Values[i]
 	}
 	sum += val * (b - cur)
 	return sum
@@ -40,8 +40,8 @@ func (tl *Timeline) minScan(a, b float64) float64 {
 // atScan is the direct reference for At.
 func (tl *Timeline) atScan(t float64) float64 {
 	v := 0.0
-	for i := 0; i < len(tl.times) && tl.times[i] <= t; i++ {
-		v = tl.values[i]
+	for i := 0; i < len(tl.pts.Times) && tl.pts.Times[i] <= t; i++ {
+		v = tl.pts.Values[i]
 	}
 	return v
 }
@@ -51,9 +51,9 @@ func (tl *Timeline) extremumScan(a, b float64, better func(x, v float64) bool) f
 		return 0
 	}
 	v := tl.atScan(a)
-	for i := range tl.times {
-		if tl.times[i] > a && tl.times[i] <= b && better(tl.values[i], v) {
-			v = tl.values[i]
+	for i := range tl.pts.Times {
+		if tl.pts.Times[i] > a && tl.pts.Times[i] <= b && better(tl.pts.Values[i], v) {
+			v = tl.pts.Values[i]
 		}
 	}
 	return v
@@ -63,17 +63,17 @@ func (tl *Timeline) extremumScan(a, b float64, better func(x, v float64) bool) f
 // the function the timeline denotes while shrinking storage. It returns
 // the receiver for chaining.
 func (tl *Timeline) Compact() *Timeline {
-	tl.idx.Store(nil)
-	if len(tl.times) == 0 {
+	if len(tl.pts.Times) == 0 {
 		return tl
 	}
 	n := 1
-	for i := 1; i < len(tl.times); i++ {
-		if tl.values[i] != tl.values[n-1] {
-			tl.times[n], tl.values[n] = tl.times[i], tl.values[i]
+	for i := 1; i < len(tl.pts.Times); i++ {
+		if tl.pts.Values[i] != tl.pts.Values[n-1] {
+			tl.pts.Times[n], tl.pts.Values[n] = tl.pts.Times[i], tl.pts.Values[i]
 			n++
 		}
 	}
-	tl.times, tl.values = tl.times[:n], tl.values[:n]
+	tl.pts = Chunk{tl.pts.Times[:n], tl.pts.Values[:n], tl.pts.Prefix[:n]}
+	tl.reindex(0)
 	return tl
 }

@@ -5,16 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
-
-	"viva/internal/obs"
 )
-
-// obsIndexBuilds counts lazy aggregation-index (re)builds: a high rate
-// against a low mutation rate means readers race to rebuild, a high rate
-// overall means timelines churn under the interactive loop.
-var obsIndexBuilds = obs.Default.Counter("viva_trace_index_builds_total",
-	"Lazy timeline aggregation-index builds (prefix sums + chunk directory).")
 
 // Point is one sample of a piecewise-constant timeline: the value V holds
 // from time T (inclusive) until the time of the next point (exclusive).
@@ -23,9 +14,20 @@ type Point struct {
 	V float64
 }
 
+// chunkPoints is the size of a heap timeline's closed chunks. Only tests
+// vary it, to drive chunk closes and boundaries with few points.
+var chunkPoints = DefaultChunkPoints
+
 // Timeline is a piecewise-constant function of time. Before the first
 // point the value is 0. Points are kept sorted by time; setting a value at
 // the time of an existing point overwrites it.
+//
+// A timeline is its own Eq. 1 column (see Column), every point resident
+// and no loader: closed chunk k is points [k·chunkPoints,
+// (k+1)·chunkPoints). Every Set keeps the absolute prefix of each point
+// and the directory of the closed chunks up to date, so a query only
+// reads them. A full chunk closes when a strictly later point arrives,
+// so an overwrite of the last point never touches a closed chunk.
 //
 // The zero value is an empty timeline, identically 0, ready to use.
 //
@@ -38,94 +40,10 @@ type Point struct {
 //
 // # Concurrency
 //
-// A timeline is safe for concurrent reads (the aggregation index is
-// published atomically) but, like the Trace that owns it, not for
-// mutation concurrent with anything else.
-type Timeline struct {
-	// times and values are the points as parallel arrays, so a chunk of
-	// the index is a sub-slice, never a copy.
-	times, values []float64
-	// idx is the lazily built aggregation index; nil until the first
-	// windowed query and after an out-of-order insert.
-	idx atomic.Pointer[timelineIndex]
-}
-
-// timelineIndex is a timeline's Eq. 1 index: the directory of the
-// chunks its ColumnBuilder closed, plus the absolute prefix of every
-// point. Closed chunk k is points [k·size, (k+1)·size); the points after
-// the directory are the column's open tail.
-//
-// The index is built lazily by the first windowed query. Monotone
-// mutations, appending past the last point or overwriting it, the shape
-// of every Add on advancing time, extend it in place through the same
-// builder, so a live trace keeps serving indexed queries while it grows.
-// An out-of-order insert drops it. Concurrent readers of an unmutated
-// timeline may race to build it; every build is identical, so whichever
-// store wins is correct. The in-place extension relies on mutation being
-// single-writer and never concurrent with reads, like the rest of Trace.
-//
-// Queries read col alone. It sits in a small object of its own so the
-// indexes of many short timelines pack densely in cache; what appends
-// and closed-chunk loads need lives behind ext.
-type timelineIndex struct {
-	col Column
-	ext *indexExt
-}
-
-// indexExt is the rest of a timeline's index.
-type indexExt struct {
-	tl     *Timeline
-	prefix []float64
-	dir    []ChunkMeta
-	b      ColumnBuilder
-}
-
-// add extends the index with the point just appended and refreshes col.
-func (ix *timelineIndex) add(t, v float64) {
-	e := ix.ext
-	pref, closed := e.b.Add(t, v)
-	if closed != nil {
-		e.dir = append(e.dir, *closed)
-	}
-	e.prefix = append(e.prefix, pref)
-	tl := e.tl
-	n := e.b.Len()
-	open := n - e.b.openCount()
-	ix.col = Column{
-		dir:  e.dir,
-		tail: Chunk{tl.times[open:n], tl.values[open:n], e.prefix[open:n]},
-		load: e,
-	}
-}
-
-// LoadChunk serves closed chunk k as sub-slices of the timeline.
-func (e *indexExt) LoadChunk(k int) (Chunk, bool) {
-	lo, hi := k*e.b.size, (k+1)*e.b.size
-	tl := e.tl
-	return Chunk{tl.times[lo:hi:hi], tl.values[lo:hi:hi], e.prefix[lo:hi:hi]}, true
-}
-
-// buildIndex runs the builder over every point with chunks of size
-// points (DefaultChunkPoints when size <= 0) and publishes the result.
-func (tl *Timeline) buildIndex(size int) *timelineIndex {
-	ix := &timelineIndex{ext: &indexExt{tl: tl, prefix: make([]float64, 0, cap(tl.times)), b: NewColumnBuilder(size)}}
-	for i, t := range tl.times {
-		ix.add(t, tl.values[i])
-	}
-	obsIndexBuilds.Inc()
-	tl.idx.Store(ix)
-	return ix
-}
-
-// column returns the kernel's view of the timeline, building the index
-// if nothing built it yet.
-func (tl *Timeline) column() *Column {
-	ix := tl.idx.Load()
-	if ix == nil {
-		ix = tl.buildIndex(0)
-	}
-	return &ix.col
-}
+// Queries only read the timeline, so it is safe for concurrent reads;
+// like the Trace that owns it, it is not safe for mutation concurrent
+// with anything else.
+type Timeline Column
 
 // NewTimeline returns a timeline initialised with the given points, which
 // need not be sorted. Duplicate times keep the last value given.
@@ -141,61 +59,86 @@ func NewTimeline(points ...Point) *Timeline {
 }
 
 // Set records that the value is v from time t on. Out-of-order sets are
-// accepted (they insert in the middle), but the common fast path is
-// monotonically non-decreasing time. Monotone mutations — appending past
-// the last point or overwriting it — extend a live aggregation index in
-// place; an out-of-order insert drops it and the next windowed query
-// rebuilds.
+// accepted, but the common fast path is monotonically non-decreasing
+// time: appending past the last point costs one prefix step (and, when
+// it closes a chunk, one chunk summary); overwriting the last point
+// costs nothing more. Inserting or overwriting at an earlier point i
+// recomputes the prefixes from i on and the directory from i's chunk on.
 func (tl *Timeline) Set(t, v float64) {
-	n := len(tl.times)
+	p := &tl.pts
+	n := len(p.Times)
 	switch {
-	case n == 0 || t > tl.times[n-1]:
-		tl.push(t, v)
-		if ix := tl.idx.Load(); ix != nil {
-			ix.add(t, v)
+	case n == 0 || t > p.Times[n-1]:
+		tl.grow()
+		pref := 0.0
+		if n > 0 {
+			pref = IntegralAt(p.Prefix[n-1], p.Values[n-1], p.Times[n-1], t)
+			if n == tl.open+chunkPoints {
+				tl.closeChunk()
+			}
 		}
-	case t == tl.times[n-1]:
-		tl.values[n-1] = v
-		if ix := tl.idx.Load(); ix != nil {
-			ix.ext.b.OverwriteLast(v)
-		}
+		p.Times = append(p.Times, t)
+		p.Values = append(p.Values, v)
+		p.Prefix = append(p.Prefix, pref)
+	case t == p.Times[n-1]:
+		// Its prefix integrates only up to its own time, which did not
+		// move, and it lies in the open tail.
+		p.Values[n-1] = v
 	default:
-		tl.idx.Store(nil)
-		i := sort.SearchFloat64s(tl.times, t)
-		if tl.times[i] == t {
-			tl.values[i] = v
-			return
+		i := sort.SearchFloat64s(p.Times, t)
+		if p.Times[i] == t {
+			p.Values[i] = v
+		} else {
+			tl.grow()
+			p.Times = slices.Insert(p.Times, i, t)
+			p.Values = slices.Insert(p.Values, i, v)
+			p.Prefix = slices.Insert(p.Prefix, i, 0)
 		}
-		tl.times = slices.Insert(tl.times, i, t)
-		tl.values = slices.Insert(tl.values, i, v)
+		tl.reindex(i)
 	}
 }
 
-// push appends a point. The arrays grow together in one allocation at
-// the rate append grows a slice of 16-byte points, so a timeline costs
-// what a []Point would: times in its first third, values in its second,
-// and, once the index exists, the index's prefix in the last.
-func (tl *Timeline) push(t, v float64) {
-	if n := len(tl.times); n == cap(tl.times) {
-		c := 2 * n
-		if n >= 256 {
-			c = n + (n+3*256)/4
-		}
-		c = max(c, 1)
-		ix := tl.idx.Load()
-		parts := 2
-		if ix != nil {
-			parts = 3
-		}
-		buf := make([]float64, parts*c)
-		tl.times = append(buf[:0:c], tl.times...)
-		tl.values = append(buf[c:c:2*c], tl.values...)
-		if ix != nil {
-			ix.ext.prefix = append(buf[2*c:2*c], ix.ext.prefix...)
-		}
+// grow makes room for one more point. The arrays grow together in one
+// allocation at the rate append grows a slice of 24-byte points.
+func (tl *Timeline) grow() {
+	p := &tl.pts
+	n := len(p.Times)
+	if n < cap(p.Times) {
+		return
 	}
-	tl.times = append(tl.times, t)
-	tl.values = append(tl.values, v)
+	c := 2 * n
+	if n >= 256 {
+		c = n + (n+3*256)/4
+	}
+	c = max(c, 1)
+	buf := make([]float64, 3*c)
+	p.Times = append(buf[:0:c], p.Times...)
+	p.Values = append(buf[c:c:2*c], p.Values...)
+	p.Prefix = append(buf[2*c:2*c:3*c], p.Prefix...)
+}
+
+// reindex recomputes the prefixes from point i on and the directory from
+// the chunk holding point i on, after an insert or overwrite at i. Points
+// before i keep their prefixes: each depends only on the points before it.
+func (tl *Timeline) reindex(i int) {
+	p := &tl.pts
+	n := len(p.Times)
+	for j := max(i, 1); j < n; j++ {
+		p.Prefix[j] = IntegralAt(p.Prefix[j-1], p.Values[j-1], p.Times[j-1], p.Times[j])
+	}
+	k := min(i/chunkPoints, len(tl.dir))
+	tl.dir, tl.open = tl.dir[:k], k*chunkPoints
+	for tl.open+chunkPoints < n {
+		tl.closeChunk()
+	}
+}
+
+// closeChunk closes the full open chunk, which a later point follows.
+func (tl *Timeline) closeChunk() {
+	p := &tl.pts
+	lo, hi := tl.open, tl.open+chunkPoints
+	tl.dir = append(tl.dir, Chunk{p.Times[lo:hi], p.Values[lo:hi], p.Prefix[lo:hi]}.Meta())
+	tl.open = hi
 }
 
 // Add records that from time t on the value is the value just before t
@@ -205,19 +148,15 @@ func (tl *Timeline) Add(t, dv float64) {
 	tl.Set(t, tl.At(t)+dv)
 }
 
-// At returns the value of the timeline at time t. It needs no index: the
-// kernel answers it from the points alone, viewed as one open chunk.
-func (tl *Timeline) At(t float64) float64 {
-	c := Column{tail: Chunk{Times: tl.times, Values: tl.values}}
-	return c.At(t)
-}
+// At returns the value of the timeline at time t.
+func (tl *Timeline) At(t float64) float64 { return (*Column)(tl).At(t) }
 
 // Integrate returns ∫_a^b tl(t) dt computed exactly (the timeline is a
 // step function). An empty or degenerate window (b <= a) has measure 0.
-// It costs two point lookups in the index, independent of how many points
-// the window spans.
+// It costs two point lookups, independent of how many points the window
+// spans.
 func (tl *Timeline) Integrate(a, b float64) float64 {
-	return tl.column().Integrate(a, b)
+	return (*Column)(tl).Integrate(a, b)
 }
 
 // Mean returns the time average of the timeline over [a, b]; it is the
@@ -226,36 +165,36 @@ func (tl *Timeline) Integrate(a, b float64) float64 {
 // degenerate window [a, a] yields the instantaneous value At(a), the
 // limit of the mean as the width goes to 0.
 func (tl *Timeline) Mean(a, b float64) float64 {
-	return tl.column().Mean(a, b)
+	return (*Column)(tl).Mean(a, b)
 }
 
 // Max returns the maximum value the timeline takes anywhere in [a, b],
 // including the implicit 0 before the first point when the window starts
 // there. An inverted window (b < a) is empty and yields 0; [a, a] yields
-// At(a). Closed chunks inside the window answer from the index directory;
-// the boundary chunks are scanned.
+// At(a). Closed chunks inside the window answer from the directory; the
+// boundary chunks are scanned.
 func (tl *Timeline) Max(a, b float64) float64 {
-	return tl.column().Max(a, b)
+	return (*Column)(tl).Max(a, b)
 }
 
 // Min returns the minimum value the timeline takes anywhere in [a, b],
 // with the same window semantics as Max.
 func (tl *Timeline) Min(a, b float64) float64 {
-	return tl.column().Min(a, b)
+	return (*Column)(tl).Min(a, b)
 }
 
 // Len returns the number of stored points.
-func (tl *Timeline) Len() int { return len(tl.times) }
+func (tl *Timeline) Len() int { return len(tl.pts.Times) }
 
 // PointAt returns the i-th stored point without copying the arrays. i
 // must be in [0, Len()).
-func (tl *Timeline) PointAt(i int) Point { return Point{tl.times[i], tl.values[i]} }
+func (tl *Timeline) PointAt(i int) Point { return Point{tl.pts.Times[i], tl.pts.Values[i]} }
 
 // Points returns a copy of the stored points in time order.
 func (tl *Timeline) Points() []Point {
-	out := make([]Point, len(tl.times))
-	for i, t := range tl.times {
-		out[i] = Point{t, tl.values[i]}
+	out := make([]Point, len(tl.pts.Times))
+	for i, t := range tl.pts.Times {
+		out[i] = Point{t, tl.pts.Values[i]}
 	}
 	return out
 }
@@ -263,33 +202,38 @@ func (tl *Timeline) Points() []Point {
 // FirstTime returns the time of the first point, or 0 for an empty
 // timeline.
 func (tl *Timeline) FirstTime() float64 {
-	if len(tl.times) == 0 {
+	if len(tl.pts.Times) == 0 {
 		return 0
 	}
-	return tl.times[0]
+	return tl.pts.Times[0]
 }
 
 // LastTime returns the time of the last point, or 0 for an empty timeline.
 func (tl *Timeline) LastTime() float64 {
-	if len(tl.times) == 0 {
+	if len(tl.pts.Times) == 0 {
 		return 0
 	}
-	return tl.times[len(tl.times)-1]
+	return tl.pts.Times[len(tl.pts.Times)-1]
 }
 
 // Clone returns an independent copy of the timeline.
 func (tl *Timeline) Clone() *Timeline {
-	return &Timeline{times: slices.Clone(tl.times), values: slices.Clone(tl.values)}
+	p := &tl.pts
+	return &Timeline{
+		pts:  Chunk{slices.Clone(p.Times), slices.Clone(p.Values), slices.Clone(p.Prefix)},
+		open: tl.open,
+		dir:  slices.Clone(tl.dir),
+	}
 }
 
 // String renders the timeline compactly, mainly for tests and debugging.
 func (tl *Timeline) String() string {
 	s := "["
-	for i, t := range tl.times {
+	for i, t := range tl.pts.Times {
 		if i > 0 {
 			s += " "
 		}
-		s += fmt.Sprintf("%g:%g", t, tl.values[i])
+		s += fmt.Sprintf("%g:%g", t, tl.pts.Values[i])
 	}
 	return s + "]"
 }

@@ -50,9 +50,9 @@ func TestTimelineWindowSemantics(t *testing.T) {
 	}
 }
 
-// randomTimeline builds a timeline with a random number of points at
-// random (possibly duplicate) times, via the public mutators so the index
-// lifecycle is exercised exactly as in production.
+// randomMutatedTimeline builds a timeline with a random number of points
+// at random (possibly duplicate) times, via the public mutators so the
+// prefixes and directory grow exactly as in production.
 func randomMutatedTimeline(rr *rand.Rand) *Timeline {
 	tl := &Timeline{}
 	n := rr.Intn(60)
@@ -124,8 +124,8 @@ func TestTimelineIndexedMatchesScan(t *testing.T) {
 	}
 }
 
-// TestTimelineIndexInvalidation mutates a timeline after an indexed query
-// and re-queries: the stale index must be dropped on every mutation path
+// TestTimelineIndexInvalidation mutates a timeline after a query and
+// re-queries: the prefixes and directory must follow every mutation path
 // (append, overwrite, out-of-order insert, Add, Compact).
 func TestTimelineIndexInvalidation(t *testing.T) {
 	tl := NewTimeline(Point{0, 2}, Point{10, 4})
@@ -168,9 +168,9 @@ func TestTimelineIndexInvalidation(t *testing.T) {
 	}
 }
 
-// TestTimelineConcurrentReads exercises the lazy index build from many
-// goroutines (the parallel vizgraph build reads timelines concurrently);
-// run under -race this pins the atomic publication.
+// TestTimelineConcurrentReads queries one timeline from many goroutines
+// (the parallel vizgraph build reads timelines concurrently); run under
+// -race this pins that a query writes nothing.
 func TestTimelineConcurrentReads(t *testing.T) {
 	tl := NewTimeline(Point{0, 1}, Point{1, 3}, Point{2, 2}, Point{3, 7})
 	done := make(chan bool)

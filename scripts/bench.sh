@@ -26,7 +26,62 @@
 # -count). Each recorded figure is then the median of the runs, and
 # ns_min/ns_max give the spread of ns/op:
 #   BENCH_COUNT=5 BENCH_SUITES=layout scripts/bench.sh 1s
+#
+# Compare mode checks one recorded file against another:
+#   scripts/bench.sh compare OLD.json NEW.json
+# For every benchmark both files hold, it prints an allocs/op rise, and
+# an ns/op change only when the new median falls outside OLD's recorded
+# ns_min..ns_max (its median alone when OLD has no spread). It exits 1
+# when any allocs/op rose: allocs/op is the stable gate, ns/op the
+# noisy one.
 set -eu
+
+# compare OLD NEW — see the usage above.
+compare() {
+    awk '
+# field returns the value of "key": in one benchmark line, "" if absent.
+function field(line, key) {
+    if (!match(line, "\"" key "\": [^,}]+")) return ""
+    v = substr(line, RSTART + length(key) + 4, RLENGTH - length(key) - 4)
+    gsub(/"/, "", v)
+    return v
+}
+/"name":/ {
+    name = field($0, "name")
+    if (FNR == NR) {
+        ns[name] = field($0, "ns_per_op")
+        lo[name] = field($0, "ns_min"); if (lo[name] == "") lo[name] = ns[name]
+        hi[name] = field($0, "ns_max"); if (hi[name] == "") hi[name] = ns[name]
+        allocs[name] = field($0, "allocs_per_op")
+        next
+    }
+    if (!(name in ns)) next
+    shared++
+    a = field($0, "allocs_per_op")
+    if (a != "null" && allocs[name] != "null" && a + 0 > allocs[name] + 0) {
+        printf "%s: allocs/op %s -> %s\n", name, allocs[name], a
+        rose++
+    }
+    n = field($0, "ns_per_op")
+    if (n + 0 < lo[name] + 0 || n + 0 > hi[name] + 0)
+        printf "%s: ns/op %s -> %s (%+.1f%%), outside %s..%s\n", name, ns[name], n,
+            100 * (n - ns[name]) / ns[name], lo[name], hi[name]
+}
+END {
+    printf "%d shared benchmarks, %d allocs/op rises\n", shared, rose
+    exit rose > 0
+}
+' "$1" "$2"
+}
+
+if [ "${1:-}" = compare ]; then
+    if [ $# -ne 3 ]; then
+        echo "usage: scripts/bench.sh compare OLD.json NEW.json" >&2
+        exit 2
+    fi
+    compare "$2" "$3"
+    exit
+fi
 
 cd "$(dirname "$0")/.."
 
