@@ -8,7 +8,10 @@
 // faithful Grid'5000 with 2170 hosts (Section 5.2).
 package platform
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Host is a computing resource.
 type Host struct {
@@ -55,6 +58,10 @@ type Platform struct {
 	linkOrder []string
 	roles     map[string]LinkRole
 
+	// clusterHosts is each cluster's [start, end) range in hostOrder:
+	// AddCluster appends a cluster's hosts contiguously.
+	clusterHosts map[string][2]int
+
 	// Per-cluster and per-site plumbing used to compute routes.
 	hostLink        map[string]string // host -> private link
 	clusterBackbone map[string]string
@@ -72,6 +79,7 @@ func New(root string) *Platform {
 		hosts:           make(map[string]*Host),
 		links:           make(map[string]*Link),
 		roles:           make(map[string]LinkRole),
+		clusterHosts:    make(map[string][2]int),
 		hostLink:        make(map[string]string),
 		clusterBackbone: make(map[string]string),
 		clusterUplink:   make(map[string]string),
@@ -158,6 +166,7 @@ func (p *Platform) AddCluster(site, name string, cfg ClusterConfig) {
 	p.clusterBackbone[name] = bb
 	p.clusterUplink[name] = up
 
+	start := len(p.hostOrder)
 	for i := 1; i <= cfg.Hosts; i++ {
 		hn := fmt.Sprintf("%s-%d", name, i)
 		if _, ok := p.hosts[hn]; ok {
@@ -169,6 +178,7 @@ func (p *Platform) AddCluster(site, name string, cfg ClusterConfig) {
 		p.addLink(&Link{Name: ln, Bandwidth: cfg.HostLinkBandwidth, Latency: cfg.HostLinkLatency, Parent: name}, RoleHostLink)
 		p.hostLink[hn] = ln
 	}
+	p.clusterHosts[name] = [2]int{start, len(p.hostOrder)}
 }
 
 // Host returns the named host, or nil.
@@ -238,15 +248,14 @@ func (p *Platform) Clusters(site string) []string {
 	return out
 }
 
-// HostsOfCluster returns the host names of one cluster in order.
+// HostsOfCluster returns the host names of one cluster in order, or nil
+// for an unknown cluster. The slice is the caller's own.
 func (p *Platform) HostsOfCluster(cluster string) []string {
-	var out []string
-	for _, n := range p.hostOrder {
-		if p.hosts[n].Cluster == cluster {
-			out = append(out, n)
-		}
+	span, ok := p.clusterHosts[cluster]
+	if !ok {
+		return nil
 	}
-	return out
+	return slices.Clone(p.hostOrder[span[0]:span[1]])
 }
 
 // HostLink returns the private link name of a host.

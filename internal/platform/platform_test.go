@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"slices"
 	"testing"
 
 	"viva/internal/trace"
@@ -35,8 +36,15 @@ func TestBasicStructure(t *testing.T) {
 	if got := len(p.Clusters("s1")); got != 2 {
 		t.Errorf("Clusters(s1) = %d, want 2", got)
 	}
-	if got := len(p.HostsOfCluster("c1")); got != 3 {
-		t.Errorf("HostsOfCluster = %d, want 3", got)
+	if got := p.HostsOfCluster("c2"); !slices.Equal(got, []string{"c2-1", "c2-2", "c2-3"}) {
+		t.Errorf("HostsOfCluster(c2) = %v", got)
+	}
+	p.HostsOfCluster("c3")[0] = "mangled"
+	if got := p.HostsOfCluster("c3")[0]; got != "c3-1" {
+		t.Errorf("HostsOfCluster shares its result: first host %q", got)
+	}
+	if got := p.HostsOfCluster("nope"); got != nil {
+		t.Errorf("HostsOfCluster(nope) = %v, want nil", got)
 	}
 	h := p.Host("c1-1")
 	if h == nil || h.Cluster != "c1" || h.Site != "s1" {

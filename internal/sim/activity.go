@@ -27,14 +27,10 @@ type resource struct {
 	capacity float64
 	isHost   bool
 
-	// flows holds the attached, live flows. It is kept id-ordered lazily:
-	// appends of monotonically increasing ids preserve order for free,
-	// swap-removes and out-of-order appends mark it unsorted, and the next
-	// ordered traversal re-sorts in place. This replaces the old
-	// map[*activity]struct{} plus a fresh sort per traversal, the single
-	// largest allocation source of the engine.
-	flows       []*activity
-	flowsSorted bool
+	// flows holds the attached, live flows in id order, kept so on attach
+	// and detach: the component scan, the solver and the usage sums read
+	// it directly, and summing in id order keeps traced totals stable.
+	flows []*activity
 
 	inDirty bool // already queued on the engine's dirty list
 
@@ -52,55 +48,22 @@ type resource struct {
 	usageMetric string
 }
 
-// addFlow attaches a flow. New activities get monotonically increasing
-// ids, so the common case appends in order and keeps the slice sorted.
+// addFlow attaches a flow at its id's place. New activities get
+// increasing ids, so this is usually an append; a communication whose
+// latency phase ends goes in ahead of the younger flows already attached.
 func (r *resource) addFlow(f *activity) {
-	if n := len(r.flows); n > 0 && r.flows[n-1].id > f.id {
-		r.flowsSorted = false
-	}
-	r.flows = append(r.flows, f)
+	i, _ := slices.BinarySearchFunc(r.flows, f.id, flowID)
+	r.flows = slices.Insert(r.flows, i, f)
 }
 
-// removeFlow detaches a flow: O(log n) locate while the slice is sorted
-// (linear scan after a swap-remove unsorted it), then O(1) swap-remove.
+// removeFlow detaches a flow, keeping the rest in id order.
 func (r *resource) removeFlow(f *activity) {
-	pos := -1
-	if r.flowsSorted {
-		if i, ok := slices.BinarySearchFunc(r.flows, f.id, func(a *activity, id int64) int {
-			return cmp.Compare(a.id, id)
-		}); ok {
-			pos = i
-		}
-	}
-	if pos < 0 || r.flows[pos] != f {
-		pos = slices.Index(r.flows, f)
-		if pos < 0 {
-			return
-		}
-	}
-	last := len(r.flows) - 1
-	if pos != last {
-		r.flows[pos] = r.flows[last]
-		r.flowsSorted = false
-	}
-	r.flows[last] = nil
-	r.flows = r.flows[:last]
-	if last == 0 {
-		r.flowsSorted = true
+	if i, ok := slices.BinarySearchFunc(r.flows, f.id, flowID); ok {
+		r.flows = slices.Delete(r.flows, i, i+1)
 	}
 }
 
-// sortedFlows returns the attached flows in id order, re-sorting in place
-// only when incremental maintenance left the slice unordered. The returned
-// slice is r.flows itself: callers must not mutate the flow set while
-// iterating (takeDown snapshots first).
-func (r *resource) sortedFlows() []*activity {
-	if !r.flowsSorted {
-		slices.SortFunc(r.flows, func(a, b *activity) int { return cmp.Compare(a.id, b.id) })
-		r.flowsSorted = true
-	}
-	return r.flows
-}
+func flowID(f *activity, id int64) int { return cmp.Compare(f.id, id) }
 
 // activity is one unit of simulated work: an execution, a communication
 // flow, or a timer. Activities are pooled on the engine: completed ones

@@ -102,7 +102,6 @@ type Engine struct {
 
 	faultScratch []*activity // takeDown's snapshot of the victim flows
 
-	categories  map[string]bool // categories seen, for per-category tracing
 	traceCats   bool
 	traceStates bool
 
@@ -134,14 +133,13 @@ type Engine struct {
 // is declared into it and resource usage is traced while running.
 func New(plat *platform.Platform, tr *trace.Trace) *Engine {
 	e := &Engine{
-		plat:       plat,
-		tr:         tr,
-		hosts:      make(map[string]*resource),
-		links:      make(map[string]*resource),
-		mailboxes:  make(map[string]*mailbox),
-		routes:     make(map[HostPair]routeInfo),
-		categories: make(map[string]bool),
-		commBytes:  make(map[HostPair]float64),
+		plat:      plat,
+		tr:        tr,
+		hosts:     make(map[string]*resource),
+		links:     make(map[string]*resource),
+		mailboxes: make(map[string]*mailbox),
+		routes:    make(map[HostPair]routeInfo),
+		commBytes: make(map[HostPair]float64),
 	}
 	if tr != nil {
 		plat.DeclareInto(tr)
@@ -153,7 +151,6 @@ func New(plat *platform.Platform, tr *trace.Trace) *Engine {
 			nominal:     h.Power,
 			degrade:     1,
 			isHost:      true,
-			flowsSorted: true,
 			traceUsage:  tr != nil,
 			usageMetric: trace.MetricUsage,
 			lastByCat:   make(map[string]float64),
@@ -167,7 +164,6 @@ func New(plat *platform.Platform, tr *trace.Trace) *Engine {
 			capacity:    l.Bandwidth,
 			nominal:     l.Bandwidth,
 			degrade:     1,
-			flowsSorted: true,
 			traceUsage:  tr != nil,
 			usageMetric: trace.MetricTraffic,
 			lastByCat:   make(map[string]float64),
@@ -517,9 +513,6 @@ func (e *Engine) startActivity(act *activity) {
 	act.id = e.nextID
 	e.nextID++
 	act.lastUpdate = e.now
-	if act.category != "" && !e.categories[act.category] {
-		e.categories[act.category] = true
-	}
 	if r := e.failedResource(act); r != nil {
 		// Work placed on a dead resource fails immediately, like a
 		// refused connection; waiters observe the failure through the
@@ -688,7 +681,6 @@ func (e *Engine) recomputeDirty() {
 		}
 	}
 	dirty := e.dirtyList
-	slices.SortFunc(dirty, func(a, b *resource) int { return int(a.order) - int(b.order) })
 	for _, r := range dirty {
 		r.inDirty = false
 	}
@@ -707,7 +699,7 @@ func (e *Engine) recomputeDirty() {
 			r := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			resources = append(resources, r)
-			for _, f := range r.sortedFlows() {
+			for _, f := range r.flows {
 				if f.scanned == ep {
 					continue
 				}
@@ -757,7 +749,7 @@ func (e *Engine) traceResource(r *resource) {
 	}
 	// Sum in flow-id order: float addition isn't associative, so summing
 	// in arbitrary order would make the traced totals run-to-run unstable.
-	for _, f := range r.sortedFlows() {
+	for _, f := range r.flows {
 		if !f.attached || f.done {
 			continue
 		}
@@ -804,9 +796,4 @@ func mustSet(err error) {
 	if err != nil {
 		panic(err)
 	}
-}
-
-// Categories returns the sorted activity categories observed so far.
-func (e *Engine) Categories() []string {
-	return slices.Sorted(maps.Keys(e.categories))
 }

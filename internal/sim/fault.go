@@ -123,7 +123,7 @@ func (e *Engine) applyFault(fe fault.Event) {
 // takeDown crashes a resource: capacity drops to zero, every attached
 // activity is interrupted with a ResourceFailure, and new activities are
 // rejected until the matching bringUp. The victims are snapshotted first:
-// failActivity swap-removes each flow from r.flows, which must not happen
+// failActivity removes each flow from r.flows, which must not happen
 // under the iteration.
 func (e *Engine) takeDown(r *resource, state, capMetric string) {
 	if r.down {
@@ -131,7 +131,7 @@ func (e *Engine) takeDown(r *resource, state, capMetric string) {
 	}
 	r.down = true
 	r.capacity = 0
-	victims := append(e.faultScratch[:0], r.sortedFlows()...)
+	victims := append(e.faultScratch[:0], r.flows...)
 	for _, f := range victims {
 		e.failActivity(f, r)
 	}

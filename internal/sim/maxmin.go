@@ -1,20 +1,16 @@
 package sim
 
-import (
-	"cmp"
-	"slices"
-)
-
 // solveMaxMin assigns max-min fair rates to the given flows over the given
 // resources (all flows are attached and every resource of every flow is in
-// the resource set — the caller passes one connected component).
+// the resource set — the caller passes one connected component, in any
+// order).
 //
 // The classic water-filling algorithm: repeatedly find the resource whose
 // equal split among its still-unfixed flows is smallest, fix those flows at
-// that share, remove their consumption everywhere, and iterate. Resources
-// and flows are processed in deterministic order: resources by their
-// name-rank (resource.order), flows by id — identical tie-breaking to the
-// original sort-by-name/sort-by-id, without string comparisons.
+// that share, remove their consumption everywhere, and iterate. No rate
+// depends on the order of the arguments: among equal shares the
+// bottleneck is the resource of lowest name-rank (resource.order), and
+// every flow fixed in one round subtracts the same share.
 //
 // The working state lives on the resources and flows themselves (remCap,
 // nUnfixed, fixed), valid only inside this call; no maps are built.
@@ -22,9 +18,6 @@ func solveMaxMin(resources []*resource, flows []*activity) {
 	if len(flows) == 0 {
 		return
 	}
-	slices.SortFunc(resources, func(a, b *resource) int { return int(a.order) - int(b.order) })
-	slices.SortFunc(flows, func(a, b *activity) int { return cmp.Compare(a.id, b.id) })
-
 	for _, r := range resources {
 		r.remCap = r.capacity
 		n := 0
@@ -48,7 +41,7 @@ func solveMaxMin(resources []*resource, flows []*activity) {
 				continue
 			}
 			share := r.remCap / float64(r.nUnfixed)
-			if bottleneck == nil || share < best {
+			if bottleneck == nil || share < best || share == best && r.order < bottleneck.order {
 				bottleneck = r
 				best = share
 			}
@@ -70,7 +63,7 @@ func solveMaxMin(resources []*resource, flows []*activity) {
 			best = 0
 		}
 		// Fix every unfixed flow crossing the bottleneck at the fair share.
-		for _, f := range bottleneck.sortedFlows() {
+		for _, f := range bottleneck.flows {
 			if f.fixed || !f.attached || f.done {
 				continue
 			}

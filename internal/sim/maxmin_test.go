@@ -14,7 +14,7 @@ var resOrder int32
 // makeRes builds a resource for solver tests.
 func makeRes(name string, cap float64) *resource {
 	resOrder++
-	return &resource{name: name, order: resOrder, capacity: cap, flowsSorted: true}
+	return &resource{name: name, order: resOrder, capacity: cap}
 }
 
 // makeFlow attaches a flow to the given resources.

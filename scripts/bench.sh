@@ -102,7 +102,8 @@ OBS_PATTERN="${2:-BenchmarkObs}"
 INGEST_PATTERN="${2:-BenchmarkPajeRead|BenchmarkNativeRead|BenchmarkTokenize}"
 # The sim suite tracks the engine hot loop: the Fig6 NAS-DT run (the
 # allocs/op trajectory the hot-path overhaul is pinned against) and the
-# 1k/10k/100k-host scaling family reporting events/sec.
+# 1k/10k/100k-host scaling family, which times Engine.Run alone and
+# reports events/sec and its set-up apart (setup-ns/op).
 SIM_PATTERN="${2:-BenchmarkFig6NASDTSequential|BenchmarkEngineScaling}"
 # The store suite tracks the out-of-core columnar store: compaction
 # throughput (MB/s) and cold/warm windowed-query latency, with the
@@ -134,15 +135,15 @@ fi
 bench_objects() {
     awk '
 BEGIN {
-    split("ns/op B/op allocs/op events/sec heap-bytes p99-push-ms ms-to-conv steps", unit, " ")
-    split("ns_per_op bytes_per_op allocs_per_op events_per_sec heap_bytes p99_push_ms ms_to_converged steps_to_converged", key, " ")
+    split("ns/op B/op allocs/op events/sec heap-bytes p99-push-ms ms-to-conv steps setup-ns/op", unit, " ")
+    split("ns_per_op bytes_per_op allocs_per_op events_per_sec heap_bytes p99_push_ms ms_to_converged steps_to_converged setup_ns_per_op", key, " ")
 }
 /^Benchmark/ && /ns\/op/ {
     name = $1; sub(/-[0-9]+$/, "", name)
     if (!(name in runs)) order[++names] = name
     r = ++runs[name]
     for (i = 2; i <= NF; i++)
-        for (u = 1; u <= 8; u++)
+        for (u = 1; u <= 9; u++)
             if ($i == unit[u]) val[name, u, r] = $(i-1)
 }
 # median sets lo and hi too; "null" when no run reported the figure.
@@ -167,7 +168,7 @@ END {
         printf "{\"name\": \"%s\", \"ns_per_op\": %s", name, ns
         if (runs[name] > 1) printf ", \"ns_min\": %s, \"ns_max\": %s", nslo, nshi
         printf ", \"bytes_per_op\": %s, \"allocs_per_op\": %s", median(name, 2), median(name, 3)
-        for (u = 4; u <= 8; u++)
+        for (u = 4; u <= 9; u++)
             if ((v = median(name, u)) != "null") printf ", \"%s\": %s", key[u], v
         printf "}\n"
     }
