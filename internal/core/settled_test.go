@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"viva/internal/layout"
@@ -70,6 +71,45 @@ func TestSettledViewTakesNoStep(t *testing.T) {
 		t.Errorf("viva_layout_local_steps_total moved by %d", d)
 	}
 	samePositions(t, before, v.Layout().Snapshot())
+}
+
+// A slice change keeps the graph's structure token, so the view skips
+// the layout sync: it stays settled and its springs are the very ones it
+// had. Aggregate, SetSegments and RefreshSource each recompile the plan
+// and issue a new token.
+func TestSliceChangeKeepsStructureToken(t *testing.T) {
+	v := settledView(t)
+	g := v.MustGraph()
+	springs, layoutSprings := v.lastSprings, v.Layout().Springs()
+	if err := v.SetTimeSlice(0.5, 2); err != nil {
+		t.Fatal(err)
+	}
+	g2 := v.MustGraph()
+	if g2 == g || g2.Token() != g.Token() {
+		t.Fatalf("slice change: graph rebuilt %v, token %d -> %d", g2 != g, g.Token(), g2.Token())
+	}
+	if !v.Settled() {
+		t.Fatal("a slice change unsettled the view")
+	}
+	if &v.lastSprings[0] != &springs[0] || !slices.Equal(v.Layout().Springs(), layoutSprings) {
+		t.Fatal("a slice change rebuilt the springs")
+	}
+	for _, tc := range []struct {
+		name string
+		op   func() error
+	}{
+		{"Aggregate", func() error { return v.Aggregate("c1") }},
+		{"SetSegments", func() error { return v.SetSegments(trace.TypeHost, []string{"app1"}) }},
+		{"RefreshSource", func() error { v.RefreshSource(); return nil }},
+	} {
+		before := v.MustGraph().Token()
+		if err := tc.op(); err != nil {
+			t.Fatal(err)
+		}
+		if after := v.MustGraph().Token(); after == before {
+			t.Errorf("%s kept the structure token %d", tc.name, before)
+		}
+	}
 }
 
 // Every perturbation the view knows of unsettles it, and the next

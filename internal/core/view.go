@@ -262,6 +262,10 @@ func (v *View) RefreshSource() {
 
 // Graph returns the visual graph for the current cut, slice and mapping,
 // rebuilding it if anything changed and synchronising the layout bodies.
+// A graph with the previous graph's structure token (a slice scrub, a
+// scale change) has the same node IDs, counts and edges, hence the same
+// bodies, charges and springs: the sync would find nothing to do, so it
+// is skipped.
 func (v *View) Graph() (*vizgraph.Graph, error) {
 	if !v.dirty {
 		return v.graph, nil
@@ -271,7 +275,9 @@ func (v *View) Graph() (*vizgraph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.syncLayout(g)
+	if v.graph == nil || g.Token() != v.graph.Token() {
+		v.syncLayout(g)
+	}
 	v.graph = g
 	v.dirty = false
 	return g, nil

@@ -24,8 +24,9 @@ func Scale(opts Options) (*Result, error) {
 	}
 
 	// stepCost returns the best ms/step of three repetitions and the
-	// repulsion terms one step sums: Barnes-Hut counts its accepted
-	// cells (viva_layout_force_terms_total), naive sums every pair.
+	// repulsion terms one step sums, read from
+	// viva_layout_force_terms_total: Barnes-Hut counts its accepted
+	// cells, naive its pair evaluations.
 	stepCost := func(n int, algo layout.Algorithm, steps int) (ms, terms float64) {
 		l := layout.New(layout.DefaultParams())
 		var springs []layout.Spring
@@ -44,9 +45,6 @@ func Scale(opts Options) (*Result, error) {
 		t0 := forceTerms()
 		l.Step(algo) // warm up (quadtree allocation, cache)
 		terms = forceTerms() - t0
-		if algo == layout.Naive {
-			terms = float64(n) * float64(n-1) / 2
-		}
 		// Best of three repetitions, to shrug off scheduler noise on busy
 		// machines: the growth-exponent check depends on this number.
 		best := math.Inf(1)

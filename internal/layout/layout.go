@@ -40,7 +40,7 @@ var (
 	obsQuadDepth = obs.Default.Gauge("viva_layout_quadtree_depth",
 		"Maximum quadtree depth of the last Barnes-Hut pass.")
 	obsForceTerms = obs.Default.Counter("viva_layout_force_terms_total",
-		"Barnes-Hut repulsion terms summed (one per accepted cell per body walk).")
+		"Repulsion terms summed: one per accepted cell per Barnes-Hut body walk, one per body pair of a naive pass.")
 )
 
 // Point is a position or vector in the 2D layout plane.
@@ -456,16 +456,21 @@ func (l *Layout) fan(w int, active []int32, n, chunk int, pass func(l *Layout, a
 }
 
 // repelNaive computes the exact all-pairs repulsion over every body with
-// the classic i<j symmetric loop (each pair once).
+// the classic i<j symmetric loop (each pair once), and counts its pair
+// evaluations as force terms.
 func (l *Layout) repelNaive() {
 	c := l.params.Charge
+	var terms uint64
 	for i, a := range l.bodies {
-		for _, b := range l.bodies[i+1:] {
+		rest := l.bodies[i+1:]
+		for _, b := range rest {
 			f := coulomb(a, b, c)
 			a.force = a.force.Add(f)
 			b.force = b.force.Sub(f)
 		}
+		terms += uint64(len(rest))
 	}
+	obsForceTerms.Add(terms)
 }
 
 // coulomb returns the force pushing a away from b.

@@ -499,3 +499,22 @@ func (l *Layout) KineticEnergy() float64 {
 	}
 	return e
 }
+
+// A naive step counts one force term per body pair in
+// viva_layout_force_terms_total, the count the scaling experiment's
+// growth check reads.
+func TestNaiveCountsForceTerms(t *testing.T) {
+	for _, n := range []int{1, 2, 17, 64} {
+		l := New(DefaultParams())
+		for i := 0; i < n; i++ {
+			if _, err := l.AddBodyAuto(fmt.Sprintf("b%d", i), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t0 := obsForceTerms.Value()
+		l.Step(Naive)
+		if got, want := obsForceTerms.Value()-t0, uint64(n*(n-1)/2); got != want {
+			t.Errorf("n=%d: %d force terms, want %d", n, got, want)
+		}
+	}
+}

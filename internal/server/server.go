@@ -23,6 +23,7 @@ import (
 	"viva/internal/render"
 	"viva/internal/stream"
 	"viva/internal/vizgraph"
+	"viva/internal/wire"
 )
 
 // Server wraps a View with a mutex so HTTP handlers can share it.
@@ -69,13 +70,25 @@ type Server struct {
 	cacheTag string
 	tagSeed  maphash.Seed
 
+	// The cached payload is also the next full frame's template (see
+	// encodeGraph) while cacheToken, the structure token of the graph
+	// it was written from, matches that frame's graph; 0 means it is
+	// none. marks locate each node's text in it and edgesAt its edge
+	// list; memo remembers recently formatted numbers across frames.
+	cacheToken uint64
+	marks      []nodeMark
+	edgesAt    [2]int32
+	memo       *wire.FloatMemo
+
 	// The lengths of the last full and LOD /api/graph payloads: the next
 	// frame's buffer size hint for each form.
 	graphLen, lodLen int
 }
 
 // New creates a server over a view.
-func New(view *core.View) *Server { return &Server{view: view, tagSeed: maphash.MakeSeed()} }
+func New(view *core.View) *Server {
+	return &Server{view: view, tagSeed: maphash.MakeSeed(), memo: new(wire.FloatMemo)}
+}
 
 // SetStream attaches a live stream: Handler gains the /api/stream SSE
 // route and Serve closes the hub (terminal shutdown frames, subscriber
@@ -350,7 +363,7 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	if steps == 0 || s.view.Settled() {
 		// The picture is stationary: cache and tag the bytes for this
 		// generation.
-		s.cache, s.cacheGen = body, gen
+		s.cache, s.cacheGen, s.cacheToken = body, gen, g.Token()
 		s.cacheTag = fmt.Sprintf(`"%016x"`, maphash.Bytes(s.tagSeed, body))
 		w.Header().Set("ETag", s.cacheTag)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -117,12 +118,37 @@ func TestSetHostPowerOutageAndRecovery(t *testing.T) {
 }
 
 func TestSetHostPowerErrors(t *testing.T) {
-	e := New(testPlatform(), nil)
-	if err := e.SetHostPower("ghost", 10); err == nil {
-		t.Error("unknown host accepted")
+	for _, tc := range []struct {
+		host  string
+		power float64
+		ok    bool
+	}{
+		{"ghost", 10, false},
+		{"c-1", -1, false},
+		{"c-1", math.Inf(-1), false},
+		{"c-1", math.NaN(), false},
+		{"c-1", math.Inf(1), false},
+		{"c-1", 0, true},
+		{"c-1", 1e300, true},
+	} {
+		e := New(testPlatform(), nil)
+		if err := e.SetHostPower(tc.host, tc.power); (err == nil) != tc.ok {
+			t.Errorf("SetHostPower(%q, %g) = %v, want ok %v", tc.host, tc.power, err, tc.ok)
+		}
 	}
-	if err := e.SetHostPower("c-1", -1); err == nil {
-		t.Error("negative power accepted")
+}
+
+// A message size must be a finite non-negative number: a send of any
+// other size fails the run instead of spreading NaN or Inf through the
+// flow rates and the clock.
+func TestSendRejectsNonFiniteSize(t *testing.T) {
+	for _, size := range []float64{-1, math.Inf(-1), math.NaN(), math.Inf(1)} {
+		e := New(testPlatform(), nil)
+		e.Spawn("sender", "c-1", func(c *Ctx) { c.Send("mb", nil, size) })
+		err := e.Run()
+		if err == nil || !strings.Contains(err.Error(), "not a finite non-negative number") {
+			t.Errorf("send of size %g: Run = %v, want the size refused", size, err)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 
@@ -207,8 +208,8 @@ func (e *Engine) SetHostPower(host string, power float64) error {
 	if !ok {
 		return fmt.Errorf("sim: unknown host %q", host)
 	}
-	if power < 0 {
-		return fmt.Errorf("sim: negative power %g for host %q", power, host)
+	if !(power >= 0) || math.IsInf(power, 1) {
+		return fmt.Errorf("sim: power %g for host %q is not a finite non-negative number", power, host)
 	}
 	r.nominal = power
 	if r.down {

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // pendingSend is a posted Put waiting for a matching receiver. Pending
 // halves are pooled on the engine and recycled once matched or removed.
@@ -92,8 +95,8 @@ func (e *Engine) releaseRecv(pr *pendingRecv) {
 }
 
 func (e *Engine) put(a *Actor, mboxName string, payload any, size float64) *Comm {
-	if size < 0 {
-		panic(fmt.Sprintf("sim: negative message size %g", size))
+	if !(size >= 0) || math.IsInf(size, 1) {
+		panic(fmt.Sprintf("sim: message size %g is not a finite non-negative number", size))
 	}
 	mb := e.mbox(mboxName)
 	comm := &Comm{eng: e, mb: mb, payload: payload}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"viva/internal/aggregation"
 	"viva/internal/obs"
@@ -12,6 +13,9 @@ import (
 
 var obsPlanCompiles = obs.Default.Counter("viva_vizgraph_plan_compiles_total",
 	"Build plans compiled (cut, mapping metrics or aggregator epoch changed).")
+
+// planTokens numbers compiled plans, process-wide, from 1.
+var planTokens atomic.Uint64
 
 // plan is the slice-invariant half of a build: for every node of a cut,
 // in cut order, everything that does not depend on the time slice —
@@ -23,6 +27,7 @@ var obsPlanCompiles = obs.Default.Counter("viva_vizgraph_plan_compiles_total",
 // A plan is immutable once compiled, so graphs built from it may share
 // its strings and its index, and workers may read it concurrently.
 type plan struct {
+	token uint64        // structure token, see Graph.Token
 	gen   uint64        // cut generation
 	epoch uint64        // aggregator epoch
 	types []TypeMapping // the mapping it was compiled for (see sameMetrics)
@@ -78,7 +83,7 @@ func (p *plan) matches(ag *aggregation.Aggregator, cut *aggregation.Cut, m Mappi
 // the drawn types are the same, since nodes exist by cut and type alone.
 func compilePlan(ag *aggregation.Aggregator, cut *aggregation.Cut, m Mapping, prev *plan) (*plan, error) {
 	obsPlanCompiles.Inc()
-	p := &plan{gen: cut.Generation(), epoch: ag.Epoch(), types: make([]TypeMapping, len(m.Types))}
+	p := &plan{token: planTokens.Add(1), gen: cut.Generation(), epoch: ag.Epoch(), types: make([]TypeMapping, len(m.Types))}
 	for i, tm := range m.Types {
 		tm.SegmentCategories = slices.Clone(tm.SegmentCategories)
 		p.types[i] = tm

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"viva/internal/aggregation"
@@ -250,6 +251,7 @@ func TestPlanMatchesPerQueryReference(t *testing.T) {
 // Invalidate reaches the next cached build; new segment categories and a
 // new fill aggregation recompile the plan; a scale change does not, and
 // reaches the sizes anyway; a recompile for the same cut keeps the edges.
+// The graph's structure token changes with every recompile and only then.
 func TestPlanRecompiles(t *testing.T) {
 	tr := fig1Trace(t)
 	ag, err := aggregation.NewAggregator(tr)
@@ -260,15 +262,23 @@ func TestPlanRecompiles(t *testing.T) {
 	m := DefaultMapping()
 	s := aggregation.TimeSlice{Start: 0, End: 10}
 	cache := &BuildCache{}
+	compiles := obsPlanCompiles.Value
+	// Every build also checks the structure token: a new one exactly
+	// when the plan was recompiled.
+	var token uint64
+	lastCompiles := compiles()
 	build := func() *Graph {
 		t.Helper()
 		g, err := BuildOpts(ag, cut, m, s, Options{Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if c := compiles(); g.Token() == 0 || (g.Token() != token) != (c != lastCompiles) {
+			t.Fatalf("token %d -> %d across %d compiles", token, g.Token(), c-lastCompiles)
+		}
+		token, lastCompiles = g.Token(), compiles()
 		return g
 	}
-	compiles := obsPlanCompiles.Value
 	hostNode := func(g *Graph) *Node {
 		t.Helper()
 		for _, n := range g.Nodes {
@@ -341,5 +351,39 @@ func TestPlanRecompiles(t *testing.T) {
 	}
 	if !reflect.DeepEqual(g.Edges, fresh.Edges) || len(g.Edges) == 0 {
 		t.Errorf("cached edges %v, fresh %v", g.Edges, fresh.Edges)
+	}
+}
+
+// TestGraphEdgesShared checks that graphs built from one plan share its
+// edge list without exposing it: appending to one graph's Edges leaves
+// the next build's edges as they were.
+func TestGraphEdgesShared(t *testing.T) {
+	tr := fig1Trace(t)
+	ag, err := aggregation.NewAggregator(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := aggregation.NewLeafCut(ag.Tree())
+	cache := &BuildCache{}
+	build := func(end float64) *Graph {
+		t.Helper()
+		g, err := BuildOpts(ag, cut, DefaultMapping(), aggregation.TimeSlice{Start: 0, End: end}, Options{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := build(10)
+	want := slices.Clone(g.Edges)
+	if len(want) == 0 {
+		t.Fatal("fixture has no edges")
+	}
+	_ = append(g.Edges, Edge{From: "x", To: "y", Multiplicity: 7})
+	next := build(5)
+	if next.Token() != g.Token() {
+		t.Fatal("a slice change recompiled the plan")
+	}
+	if !slices.Equal(next.Edges, want) || !slices.Equal(g.Edges, want) {
+		t.Fatalf("edges after an append: %v, want %v", next.Edges, want)
 	}
 }

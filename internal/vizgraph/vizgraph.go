@@ -197,11 +197,25 @@ type Edge struct {
 // Graph is the visual graph for one (cut, time slice, mapping) triple.
 type Graph struct {
 	Nodes []*Node
+	// Edges is shared with every graph built from the same plan: read
+	// it, never write its elements (an append copies, since its capacity
+	// is its length).
 	Edges []Edge
 	Slice aggregation.TimeSlice
 
+	token uint64           // the plan's structure token, see Token
 	index map[string]int32 // node ID → position in Nodes, shared with the plan
 }
+
+// Token identifies the graph's structure: everything but the
+// slice-dependent numbers (value, size, fill, availability, segments).
+// Two graphs with one token have the same nodes in the same order, with
+// the same IDs, groups, types, labels, shapes, colours and counts, and
+// the same edges. The token is the build plan's: a new one is issued
+// whenever the plan is recompiled, that is, when the cut generation, the
+// aggregator epoch, or the drawn types and their shape, colour, metrics,
+// fill aggregation or segment categories change. Tokens are never 0.
+func (g *Graph) Token() uint64 { return g.token }
 
 // Node returns a node by ID, or nil.
 func (g *Graph) Node(id string) *Node {
@@ -276,9 +290,8 @@ func BuildOpts(ag *aggregation.Aggregator, cut *aggregation.Cut, m Mapping, slic
 	aggSpan.End()
 	buildSpan := obs.StartSpan(obs.StageBuild)
 	defer buildSpan.End()
-	g := &Graph{Nodes: nodes, Slice: slice, index: p.index}
+	g := &Graph{Nodes: nodes, Edges: p.edges[:len(p.edges):len(p.edges)], Slice: slice, token: p.token, index: p.index}
 	p.scaleSizes(nodes, m)
-	g.Edges = append([]Edge(nil), p.edges...)
 	obsNodes.Set(float64(len(g.Nodes)))
 	obsEdges.Set(float64(len(g.Edges)))
 	return g, nil

@@ -75,13 +75,25 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 // mid-way: the first unsupported float is kept and reported by Bytes, so
 // a payload's encoder reads as a flat list of fields.
 type Encoder struct {
-	buf []byte
-	err error
+	buf  []byte
+	err  error
+	memo *FloatMemo
 }
 
 // NewEncoder starts a document at the end of buf, growing it as needed;
 // pass buf with the capacity the document is expected to need.
 func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
+
+// NewMemoEncoder is NewEncoder formatting its floats through memo, which
+// the caller keeps from one document to the next. The bytes are the same
+// as without it.
+func NewMemoEncoder(buf []byte, memo *FloatMemo) *Encoder {
+	return &Encoder{buf: buf, memo: memo}
+}
+
+// Len returns the length of the document so far: the offset the next
+// value starts at.
+func (e *Encoder) Len() int { return len(e.buf) }
 
 // Bytes returns the document, or the first error a value raised.
 func (e *Encoder) Bytes() ([]byte, error) {
@@ -98,6 +110,10 @@ func (e *Encoder) Raw(s string) *Encoder {
 	return e
 }
 
+// Copy appends text already in JSON form, such as a span of an earlier
+// document.
+func (e *Encoder) Copy(b []byte) { e.buf = append(e.buf, b...) }
+
 // String appends a quoted string.
 func (e *Encoder) String(s string) { e.buf = appendString(e.buf, s) }
 
@@ -113,7 +129,12 @@ func (e *Encoder) Bool(v bool) { e.buf = strconv.AppendBool(e.buf, v) }
 // Float appends a number; NaN and ±Inf poison the document.
 func (e *Encoder) Float(f float64) {
 	var err error
-	if e.buf, err = appendFloat(e.buf, f); err != nil && e.err == nil {
+	if e.memo != nil {
+		e.buf, err = e.memo.appendFloat(e.buf, f)
+	} else {
+		e.buf, err = appendFloat(e.buf, f)
+	}
+	if err != nil && e.err == nil {
 		e.err = err
 	}
 }
@@ -124,4 +145,62 @@ func (e *Encoder) Pair(a, b float64) {
 	e.Raw("[").Float(a)
 	e.Raw(",").Float(b)
 	e.Raw("]")
+}
+
+// FloatMemo remembers the text of recently formatted floats, so a number
+// that recurs within a document, or from one document to the next, is
+// formatted once. It is a fixed table of memoSets sets of two entries,
+// keyed by the float's bits: a lookup is one hash and at most two
+// compares, and the table never grows. Only finite numbers whose text
+// fits an entry are kept; NaN and ±Inf always take appendFloat's error
+// path. The zero value is an empty memo. A memo is not safe for
+// concurrent use.
+type FloatMemo struct {
+	sets [memoSets][2]memoEntry
+}
+
+// The memo's shape: 2,048 sets of two 32-byte entries, 128 KiB in all.
+const (
+	memoSetBits = 11
+	memoSets    = 1 << memoSetBits
+	memoText    = 23 // longest text an entry holds
+)
+
+// memoEntry is one formatted float; n == 0 marks an empty entry, since
+// every float's text has at least one byte.
+type memoEntry struct {
+	bits uint64
+	n    uint8
+	text [memoText]byte
+}
+
+// set returns the set a float's bits map to (Fibonacci hashing: the top
+// bits of the product spread nearby bit patterns across the table).
+func (m *FloatMemo) set(bits uint64) *[2]memoEntry {
+	return &m.sets[(bits*0x9e3779b97f4a7c15)>>(64-memoSetBits)]
+}
+
+// appendFloat is appendFloat through the memo. A hit in the second
+// entry of a set is copied out, then moved to the front; a miss formats
+// the float and puts it in front, pushing the older front entry back.
+func (m *FloatMemo) appendFloat(b []byte, f float64) ([]byte, error) {
+	bits := math.Float64bits(f)
+	set := m.set(bits)
+	if e := &set[0]; e.n != 0 && e.bits == bits {
+		return append(b, e.text[:e.n]...), nil
+	}
+	if e := &set[1]; e.n != 0 && e.bits == bits {
+		b = append(b, e.text[:e.n]...)
+		set[0], set[1] = set[1], set[0]
+		return b, nil
+	}
+	start := len(b)
+	b, err := appendFloat(b, f)
+	if err != nil || len(b)-start > memoText {
+		return b, err
+	}
+	set[1] = set[0]
+	set[0].bits = bits
+	set[0].n = uint8(copy(set[0].text[:], b[start:]))
+	return b, nil
 }

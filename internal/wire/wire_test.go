@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"testing"
@@ -91,4 +92,76 @@ func TestEncoderKeepsFirstError(t *testing.T) {
 	if b, err := e.Bytes(); err != nil || !bytes.Equal(b, want) {
 		t.Fatalf("Bytes = %s, %v; want %s", b, err, want)
 	}
+}
+
+// colliding holds bit patterns of ordinary finite floats that all map to
+// one memo set, with texts of different lengths, so a memo test can
+// evict, re-admit and swap the entries of a single set at will.
+var colliding = func() []uint64 {
+	var m FloatMemo
+	var out []uint64
+	for i := 1; len(out) < 6; i++ {
+		bits := math.Float64bits(float64(i) * 0.3027)
+		if len(out) == 0 || m.set(bits) == m.set(out[0]) {
+			out = append(out, bits)
+		}
+	}
+	return out
+}()
+
+// checkMemo appends f through the memo and requires exactly what
+// appendFloat gives, error included.
+func checkMemo(t *testing.T, m *FloatMemo, f float64) {
+	t.Helper()
+	want, wantErr := appendFloat([]byte("x"), f)
+	got, err := m.appendFloat([]byte("x"), f)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("%v (%#x): memo error %v, appendFloat %v", f, math.Float64bits(f), err, wantErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%v (%#x): memo %s, appendFloat %s", f, math.Float64bits(f), got, want)
+	}
+}
+
+// TestFloatMemoCollisions walks one set through misses, front hits,
+// back hits and evictions: every text must be its own float's.
+func TestFloatMemoCollisions(t *testing.T) {
+	var m FloatMemo
+	for _, i := range []int{0, 1, 0, 1, 1, 2, 0, 1, 2, 3, 4, 3, 5, 4, 3, 0, 0, 5} {
+		checkMemo(t, &m, math.Float64frombits(colliding[i]))
+	}
+}
+
+// FuzzFloatMemo pushes sequences of floats through one memo: each input
+// byte picks a pattern from the colliding set, a special value (zeros,
+// exponent-form thresholds, a text too long for an entry, NaN, ±Inf), or
+// takes the next eight bytes as raw bits. Every append must equal
+// appendFloat's, so no hit, swap or eviction may hand back another
+// float's text, and no non-finite value may enter the memo.
+func FuzzFloatMemo(f *testing.F) {
+	special := []float64{0, math.Copysign(0, -1), 1e-7, -1e21, math.Nextafter(1e-6, 0),
+		-2.2250738585072014e-308, math.NaN(), math.Inf(1), math.Inf(-1)}
+	f.Add([]byte{0, 1, 0, 1, 1, 2, 0, 1, 2, 3, 4, 3, 5, 4, 3, 0})
+	f.Add([]byte{0, 70, 1, 71, 0, 72, 73, 76, 0, 77, 1, 78, 2, 74, 0})
+	f.Add([]byte{128, 1, 2, 3, 4, 5, 6, 7, 8, 0, 128, 1, 2, 3, 4, 5, 6, 7, 8, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m FloatMemo
+		for len(data) > 0 {
+			op := data[0]
+			data = data[1:]
+			var x float64
+			switch {
+			case op < 64:
+				x = math.Float64frombits(colliding[int(op)%len(colliding)])
+			case op < 128:
+				x = special[int(op)%len(special)]
+			case len(data) >= 8:
+				x = math.Float64frombits(binary.LittleEndian.Uint64(data))
+				data = data[8:]
+			default:
+				return
+			}
+			checkMemo(t, &m, x)
+		}
+	})
 }
